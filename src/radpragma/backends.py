@@ -193,6 +193,47 @@ class PatternBackend:
                  6: _rule6, 7: _rule7}
 
 
+def post_json(session: requests.Session, endpoint: str, payload: dict,
+              key: str, *, what: str, noun: str,
+              auth_token: Optional[str], timeout: float, retries: int = 0,
+              suffix: str = "", **context) -> str:
+    """POST ``payload`` as JSON and return the string under ``key`` in the
+    response.
+
+    Only transport errors are retried, up to ``retries`` times. Failures
+    raise BackendError carrying ``endpoint`` and ``context``, with a message
+    that names the ``what`` endpoint and ends in ``suffix``.
+    """
+    def failure(problem: str) -> BackendError:
+        return BackendError(f"{what} endpoint {endpoint} {problem}{suffix}",
+                            endpoint=endpoint, **context)
+
+    headers = {"Content-Type": "application/json"}
+    if auth_token:
+        headers["Authorization"] = f"Bearer {auth_token}"
+    last_error: Optional[Exception] = None
+    for _ in range(retries + 1):
+        try:
+            response = session.post(endpoint, json=payload, headers=headers,
+                                    timeout=timeout)
+            break
+        except requests.RequestException as exc:
+            last_error = exc
+    else:
+        raise BackendError(
+            f"{what} endpoint {endpoint} unreachable{suffix}: {last_error}",
+            endpoint=endpoint, **context)
+    if response.status_code != 200:
+        raise failure(f"returned HTTP {response.status_code}")
+    try:
+        value = response.json()[key]
+    except (ValueError, KeyError):
+        raise failure(f"returned a payload without {key!r}") from None
+    if not isinstance(value, str):
+        raise failure(f"returned a non-string {noun}")
+    return value
+
+
 class RemoteRewriteBackend:
     """HTTP rewriting endpoint speaking JSON.
 
@@ -208,47 +249,19 @@ class RemoteRewriteBackend:
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
-        self._headers = {"Content-Type": "application/json"}
-        if auth_token:
-            self._headers["Authorization"] = f"Bearer {auth_token}"
+        self._auth_token = auth_token
         self._session = session or requests.Session()
         self._cache: dict[tuple[int, str], str] = {}
 
     def rewrite(self, rule: CleaningRule, sentence: str) -> str:
         key = (rule.rule_id, sentence)
-        if key in self._cache:
-            return self._cache[key]
-        payload = {"rule_id": rule.rule_id,
-                   "prompt": build_rewrite_prompt(rule, sentence),
-                   "sentence": sentence}
-        last_error: Optional[Exception] = None
-        for _ in range(self.retries + 1):
-            try:
-                response = self._session.post(
-                    self.endpoint, json=payload, headers=self._headers,
-                    timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"cleaning endpoint {self.endpoint} returned HTTP "
-                    f"{response.status_code}",
-                    rule_id=rule.rule_id, endpoint=self.endpoint)
-            try:
-                rewritten = response.json()["rewritten"]
-            except (ValueError, KeyError):
-                raise BackendError(
-                    f"cleaning endpoint {self.endpoint} returned a payload "
-                    f"without 'rewritten'",
-                    rule_id=rule.rule_id, endpoint=self.endpoint) from None
-            if not isinstance(rewritten, str):
-                raise BackendError(
-                    f"cleaning endpoint {self.endpoint} returned a "
-                    f"non-string rewrite",
-                    rule_id=rule.rule_id, endpoint=self.endpoint)
-            self._cache[key] = rewritten
-            return rewritten
-        raise BackendError(
-            f"cleaning endpoint {self.endpoint} unreachable: {last_error}",
-            rule_id=rule.rule_id, endpoint=self.endpoint)
+        if key not in self._cache:
+            payload = {"rule_id": rule.rule_id,
+                       "prompt": build_rewrite_prompt(rule, sentence),
+                       "sentence": sentence}
+            self._cache[key] = post_json(
+                self._session, self.endpoint, payload, "rewritten",
+                what="cleaning", noun="rewrite", auth_token=self._auth_token,
+                timeout=self.timeout, retries=self.retries,
+                rule_id=rule.rule_id)
+        return self._cache[key]

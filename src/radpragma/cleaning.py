@@ -13,7 +13,6 @@ any condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
@@ -25,20 +24,12 @@ from .model import (LabelVector, Report, any_stem_match, normalize_text,
 REMOVED = "REMOVED"
 
 
-class RuleAction(Enum):
-    REMOVE_SENTENCE = "remove-sentence"
-    REMOVE_PHRASE = "remove-phrase"
-    REWRITE_POSITIVE = "rewrite-positive"
-    REWRITE_NEGATIVE = "rewrite-negative"
-
-
 @dataclass(frozen=True)
 class CleaningRule:
     """One rewrite rule: id, trigger cues, and its backend prompt."""
 
     rule_id: int
     name: str
-    action: RuleAction
     trigger_cues: tuple[str, ...]
     prompt_template: str
 
@@ -99,29 +90,22 @@ _PROMPT_7 = (
 
 DEFAULT_RULES: tuple[CleaningRule, ...] = (
     CleaningRule(1, "Remove comparison to prior studies",
-                 RuleAction.REMOVE_PHRASE,
                  ("compar",), _PROMPT_1),
     CleaningRule(2, "Remove communication information",
-                 RuleAction.REMOVE_SENTENCE,
                  ("commun", "convey", "relay", "notif", "paged", "telephone",
                   "phone", "discussed", "dashboard"), _PROMPT_2),
     CleaningRule(3, "Remove doctor recommendations",
-                 RuleAction.REMOVE_SENTENCE,
                  ("recommend", "suggest", "should", "advis"), _PROMPT_3),
     CleaningRule(4, "Remove previous treatment and image view",
-                 RuleAction.REMOVE_PHRASE,
                  ("status", "view", "ap", "pa", "lateral", "frontal",
                   "portable", "upright", "supine"), _PROMPT_4),
     CleaningRule(5, "Rewrite new/increased conditions into positive",
-                 RuleAction.REWRITE_POSITIVE,
                  ("new", "newly", "increas", "greater", "worse", "worsen",
                   "larger", "enlarg", "progress", "develop"), _PROMPT_5),
     CleaningRule(6, "Rewrite unchanged/partially-improved conditions into "
                     "positive",
-                 RuleAction.REWRITE_POSITIVE,
                  ("unchanged", "improv", "stable", "persist"), _PROMPT_6),
     CleaningRule(7, "Rewrite resolved conditions into negative",
-                 RuleAction.REWRITE_NEGATIVE,
                  ("resolv", "resolut", "disappear", "cleared"), _PROMPT_7),
 )
 

@@ -23,6 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
+import requests
+
 from . import backends, cleaning, corpus_io, generator, metrics, stats
 from .errors import BackendError, DegenerateTableError, InputError
 from .labeler import (Lexicon, default_lexicon, indication_mention_sets,
@@ -53,28 +55,44 @@ class Config:
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
+def _kind(name: str) -> type:
+    """The scalar type of a Config field: int, float or str."""
+    declared = _FIELD_TYPES[name]
+    return int if "int" in declared else float if "float" in declared else str
+
+
 def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
-    if "int" in str(kind):
-        return int(raw)
-    if "float" in str(kind):
-        return float(raw)
-    return raw
+    kind = _kind(name)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InputError(f"{ENV_PREFIX}{name.upper()}: expected "
+                         f"{kind.__name__}, got {raw!r}") from None
+
+
+def _accepts(name: str, value) -> bool:
+    """Whether a config-file value fits the Config field's type."""
+    if value is None:
+        return "Optional" in _FIELD_TYPES[name]
+    kind = _kind(name)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
     config = Config()
     path = getattr(args, "config", None)
     if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                file_values = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: invalid config JSON: {exc.msg}") \
-                    from None
+        file_values = corpus_io.read_json(path, "config")
+        if not isinstance(file_values, dict):
+            raise InputError(f"{path}: config must be a JSON object")
         for name, value in file_values.items():
             if name not in _FIELD_TYPES:
                 raise InputError(f"{path}: unknown config key {name!r}")
+            if not _accepts(name, value):
+                raise InputError(f"{path}: config key {name!r} expects "
+                                 f"{_kind(name).__name__}, got {value!r}")
             setattr(config, name, value)
     for name in _FIELD_TYPES:
         raw = os.environ.get(ENV_PREFIX + name.upper())
@@ -99,14 +117,32 @@ def _load_catalog(config: Config) -> metrics.KeywordCatalog:
     return metrics.default_catalog()
 
 
+def _write_jsonl(path: str, records) -> None:
+    corpus_io.write_text_atomic(
+        path, "".join(json.dumps(record, ensure_ascii=False, sort_keys=True)
+                      + "\n" for record in records))
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _write_run_config(primary_out: Optional[str], command: str,
                       config: Config, inputs: dict) -> None:
-    if not primary_out:
-        return
-    record = {"command": command, "config": asdict(config), "inputs": inputs}
-    corpus_io.write_text_atomic(
-        primary_out + ".run.json",
-        json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    if primary_out:
+        corpus_io.write_json(primary_out + ".run.json",
+                             {"command": command, "config": asdict(config),
+                              "inputs": inputs})
+
+
+def _run_all(work, items, workers: int) -> list:
+    """``work`` over ``items`` in order, on ``workers`` threads if > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, items))
+    return [work(item) for item in items]
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -115,10 +151,14 @@ def _fmt(value: Optional[float]) -> str:
     return format(value, ".10g")
 
 
+def _cell(value) -> str:
+    """A summary CSV cell: counts verbatim, rates through ``_fmt``."""
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
 def _labels_for(args, corpus, lexicon):
     if getattr(args, "labels", None):
-        labels = corpus_io.read_labels_csv(args.labels)
-        return labels
+        return corpus_io.read_labels_csv(args.labels)
     return label_corpus(corpus, lexicon)
 
 
@@ -138,28 +178,15 @@ def cmd_label(args) -> int:
 
 
 def _summary_csv(summary: stats.CorpusSummary) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["metric", "value"])
-    writer.writerow(["report_count", summary.report_count])
-    writer.writerow(["pct_no_finding", _fmt(summary.pct_no_finding)])
-    writer.writerow(["avg_positive_mentions",
-                     _fmt(summary.avg_positive_mentions)])
-    writer.writerow(["avg_positive_mentions_non_no_finding",
-                     _fmt(summary.avg_positive_mentions_non_no_finding)])
-    writer.writerow(["avg_negative_mentions",
-                     _fmt(summary.avg_negative_mentions)])
-    writer.writerow(["avg_negative_mentions_non_no_finding",
-                     _fmt(summary.avg_negative_mentions_non_no_finding)])
-    writer.writerow([])
-    writer.writerow(["condition", "negative_mentions", "indication_mentions",
-                     "pct_reports_with_negative_given_indication"])
-    for condition, cstats in summary.per_condition:
-        writer.writerow([
-            condition.value, cstats.negative_mentions,
-            cstats.indication_mentions,
-            _fmt(cstats.pct_reports_with_negative_given_indication)])
-    return buffer.getvalue()
+    scalars = summary.to_dict()
+    per_condition = scalars.pop("per_condition")
+    rows = [["metric", "value"]]
+    rows += [[name, _cell(value)] for name, value in scalars.items()]
+    rows += [[], ["condition"]
+             + [f.name for f in fields(stats.ConditionStats)]]
+    rows += [[name] + [_cell(value) for value in cstats.values()]
+             for name, cstats in per_condition.items()]
+    return _csv_text(rows)
 
 
 def _print_summary(summary: stats.CorpusSummary) -> None:
@@ -190,10 +217,7 @@ def cmd_stats(args) -> int:
     summary = stats.summarize(corpus, labels, mentions)
     corpus_io.write_text_atomic(args.out, _summary_csv(summary))
     if args.json:
-        corpus_io.write_text_atomic(
-            args.json,
-            json.dumps(summary.to_dict(), ensure_ascii=False, sort_keys=True,
-                       indent=2) + "\n")
+        corpus_io.write_json(args.json, summary.to_dict())
     _print_summary(summary)
     _write_run_config(args.out, "stats", config,
                       {"in": args.infile, "labels": args.labels})
@@ -213,10 +237,8 @@ def cmd_chi2(args) -> int:
             raise InputError(str(exc)) from None
     else:
         conditions = [c for c in CONDITIONS if not c.is_no_finding]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["condition", "p_in", "p_out", "statistic", "p_value",
-                     "significant"])
+    rows = [["condition", "p_in", "p_out", "statistic", "p_value",
+             "significant"]]
     for condition in conditions:
         p_in, p_out, table = stats.conditional_negative_rates(
             corpus, labels, mentions, condition)
@@ -227,30 +249,32 @@ def cmd_chi2(args) -> int:
         except DegenerateTableError:
             stat_text = p_text = "NA"
             significant = ""
-        writer.writerow([condition.value, _fmt(p_in), _fmt(p_out),
-                         stat_text, p_text, significant])
-    corpus_io.write_text_atomic(args.out, buffer.getvalue())
+        rows.append([condition.value, _fmt(p_in), _fmt(p_out),
+                     stat_text, p_text, significant])
+    corpus_io.write_text_atomic(args.out, _csv_text(rows))
     _write_run_config(args.out, "chi2", config,
                       {"in": args.infile, "labels": args.labels})
     return 0
 
 
+def _read_summary(path: str) -> stats.CorpusSummary:
+    obj = corpus_io.read_json(path, "summary")
+    try:
+        return stats.CorpusSummary.from_dict(obj)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def cmd_shift(args) -> int:
     config = resolve_config(args)
-    with open(args.a, "r", encoding="utf-8") as handle:
-        summary_a = stats.CorpusSummary.from_dict(json.load(handle))
-    with open(args.b, "r", encoding="utf-8") as handle:
-        summary_b = stats.CorpusSummary.from_dict(json.load(handle))
-    shift = stats.shift_report(summary_a, summary_b, config.shift_threshold)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "a", "b", "delta", "relative", "flagged"])
-    for delta in shift.fields:
-        writer.writerow([delta.field, _fmt(delta.a), _fmt(delta.b),
-                         _fmt(delta.delta), _fmt(delta.relative),
-                         str(delta.flagged).lower()])
+    shift = stats.shift_report(_read_summary(args.a), _read_summary(args.b),
+                               config.shift_threshold)
+    rows = [["field", "a", "b", "delta", "relative", "flagged"]]
+    rows += [[delta.field, _fmt(delta.a), _fmt(delta.b), _fmt(delta.delta),
+              _fmt(delta.relative), str(delta.flagged).lower()]
+             for delta in shift.fields]
     if args.out:
-        corpus_io.write_text_atomic(args.out, buffer.getvalue())
+        corpus_io.write_text_atomic(args.out, _csv_text(rows))
         _write_run_config(args.out, "shift", config,
                           {"a": args.a, "b": args.b})
     flagged = shift.flagged_fields()
@@ -286,29 +310,20 @@ def cmd_clean(args) -> int:
     def work(report):
         return cleaning.clean_report_audited(report, backend, lexicon=lexicon)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, corpus))
-    else:
-        results = [work(report) for report in corpus]
-    cleaned = [report for report, _ in results]
-    corpus_io.write_reports_jsonl(cleaned, args.out)
+    results = _run_all(work, corpus, workers)
+    corpus_io.write_reports_jsonl([report for report, _ in results], args.out)
     if args.audit:
-        lines = []
-        for report, audits in zip(corpus, (a for _, a in results)):
-            for audit in audits:
-                record = {"study_id": report.study_id, **audit.to_dict()}
-                lines.append(json.dumps(record, ensure_ascii=False,
-                                        sort_keys=True))
-        corpus_io.write_text_atomic(args.audit,
-                                    "".join(line + "\n" for line in lines))
+        _write_jsonl(args.audit,
+                     ({"study_id": report.study_id, **audit.to_dict()}
+                      for report, (_, audits) in zip(corpus, results)
+                      for audit in audits))
     _write_run_config(args.out, "clean", config,
                       {"in": args.infile, "backend": args.backend})
     return 0
 
 
 def _read_sentences(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with corpus_io.open_utf8(path) as handle:
         return [line.rstrip("\n") for line in handle]
 
 
@@ -318,13 +333,12 @@ def cmd_clean_eval(args) -> int:
     scores = cleaning.evaluate_cleaning(
         _read_sentences(args.machine), _read_sentences(args.manual),
         _read_sentences(args.original), lexicon)
-    text = json.dumps(scores, ensure_ascii=False, sort_keys=True, indent=2)
     if args.out:
-        corpus_io.write_text_atomic(args.out, text + "\n")
+        corpus_io.write_json(args.out, scores)
         _write_run_config(args.out, "clean-eval", config,
                           {"machine": args.machine, "manual": args.manual,
                            "original": args.original})
-    print(text)
+    print(json.dumps(scores, ensure_ascii=False, sort_keys=True, indent=2))
     return 0
 
 
@@ -370,42 +384,38 @@ def cmd_generate(args) -> int:
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     requests_in = _build_requests(args)
-    index = None
     if args.mode == "retrieval":
+        if not args.index:
+            raise InputError("retrieval generation requires --index")
         index = generator.RetrievalIndex.load(args.index, lexicon)
 
         def work(request):
             return generator.generate_retrieval(request, index, lexicon)
 
-        workers = config.jobs
+        results = _run_all(work, requests_in, config.jobs)
     else:
         if not config.generation_endpoint:
             raise InputError(
                 "remote generation requires an endpoint (flag "
                 "--generation-endpoint, env RADPRAGMA_GENERATION_ENDPOINT, "
                 "or config file)")
+        with requests.Session() as session:
 
-        def work(request):
-            return generator.generate_remote(
-                request, config.generation_endpoint,
-                auth_token=config.auth_token, timeout=config.timeout)
+            def work(request):
+                return generator.generate_remote(
+                    request, config.generation_endpoint,
+                    auth_token=config.auth_token, timeout=config.timeout,
+                    session=session)
 
-        workers = max(1, min(config.jobs, config.in_flight))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, requests_in))
-    else:
-        results = [work(request) for request in requests_in]
+            results = _run_all(work, requests_in,
+                               max(1, min(config.jobs, config.in_flight)))
     reports = [Report(study_id=request.study_id,
                       indication=request.indication,
                       impression=result.text)
                for request, result in zip(requests_in, results)]
     corpus_io.write_reports_jsonl(reports, args.out)
     if args.audit:
-        lines = [json.dumps(result.audit_dict(), ensure_ascii=False,
-                            sort_keys=True) for result in results]
-        corpus_io.write_text_atomic(args.audit,
-                                    "".join(line + "\n" for line in lines))
+        _write_jsonl(args.audit, (result.audit_dict() for result in results))
     _write_run_config(args.out, "generate", config,
                       {"requests": args.requests, "index": args.index,
                        "predictions": args.predictions, "mode": args.mode})
@@ -428,21 +438,16 @@ def cmd_evaluate(args) -> int:
     report = metrics.evaluate_generation(
         generated, ref_original, ref_clean, lexicon, catalog,
         average=config.f1_average, reference_labels=reference_labels)
-    corpus_io.write_text_atomic(
-        args.out,
-        json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True,
-                   indent=2) + "\n")
+    scores = report.to_dict()
+    corpus_io.write_json(args.out, scores)
     if args.csv:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_METRICS_CSV_COLUMNS)
-        row = report.to_dict()
-        writer.writerow([_fmt(row[column]) for column in _METRICS_CSV_COLUMNS])
-        corpus_io.write_text_atomic(args.csv, buffer.getvalue())
+        corpus_io.write_text_atomic(args.csv, _csv_text([
+            _METRICS_CSV_COLUMNS,
+            [_fmt(scores[column]) for column in _METRICS_CSV_COLUMNS]]))
     print("Positive F1-5 conditions: "
           + ", ".join(c.value for c in report.pos_f1_5_conditions))
     for column in _METRICS_CSV_COLUMNS:
-        print(f"{column:20s} {_fmt(report.to_dict()[column])}")
+        print(f"{column:20s} {_fmt(scores[column])}")
     _write_run_config(args.out, "evaluate", config,
                       {"generated": args.generated,
                        "ref_original": args.ref_original,
@@ -583,13 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, DegenerateTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, DegenerateTableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

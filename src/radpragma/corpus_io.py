@@ -16,21 +16,23 @@ import csv
 import io
 import json
 import os
-import tempfile
+import secrets
+from contextlib import contextmanager
 from typing import Iterable, Mapping
 
 from .errors import InputError
 from .model import CONDITIONS, LabelValue, LabelVector, Report
 
-REPORT_JSONL = "report-jsonl"
-LABEL_CSV = "label-csv"
-
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` so that no partial file is ever visible."""
+    """Write text to ``path`` so that no partial file is ever visible.
+
+    The file gets the mode ``open`` would give it: 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -61,10 +63,36 @@ def _report_from_obj(obj: dict, where: str) -> Report:
                   indication=indication, findings=findings)
 
 
+@contextmanager
+def open_utf8(path: str, newline=None):
+    """Open ``path`` for reading; undecodable bytes raise InputError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8: {exc.reason}") from None
+
+
+def read_json(path: str, what: str):
+    """Parse the JSON document at ``path``; ``what`` names it in errors."""
+    with open_utf8(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid {what} JSON: {exc.msg}") \
+                from None
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys."""
+    write_text_atomic(path, json.dumps(obj, ensure_ascii=False,
+                                       sort_keys=True, indent=2) + "\n")
+
+
 def read_reports_jsonl(path: str) -> list[Report]:
     reports: list[Report] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -101,7 +129,7 @@ _LABEL_HEADER = ["study_id"] + [c.value for c in CONDITIONS]
 
 
 def read_labels_csv(path: str) -> dict[str, LabelVector]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -160,20 +188,3 @@ def labels_csv_text(labels: Mapping[str, LabelVector]) -> str:
 def write_labels_csv(labels: Mapping[str, LabelVector], path: str) -> None:
     write_text_atomic(path, labels_csv_text(labels))
 
-
-def read_corpus(path: str, format: str):
-    """Dispatching reader for the two corpus formats."""
-    if format == REPORT_JSONL:
-        return read_reports_jsonl(path)
-    if format == LABEL_CSV:
-        return read_labels_csv(path)
-    raise InputError(f"unknown corpus format: {format!r}")
-
-
-def write_corpus(data, path: str, format: str) -> None:
-    if format == REPORT_JSONL:
-        write_reports_jsonl(data, path)
-    elif format == LABEL_CSV:
-        write_labels_csv(data, path)
-    else:
-        raise InputError(f"unknown corpus format: {format!r}")

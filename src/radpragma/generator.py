@@ -12,7 +12,6 @@ indication-mentioned condition that was not predicted positive.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -20,10 +19,11 @@ from typing import Optional, Sequence
 
 import requests
 
-from .corpus_io import write_text_atomic
-from .errors import BackendError, InputError
-from .labeler import (Lexicon, default_lexicon, indication_mentions,
-                      label_report, label_sentence)
+from .backends import post_json
+from .corpus_io import read_json, write_json
+from .errors import InputError
+from .labeler import (Lexicon, aggregate_labels, default_lexicon,
+                      indication_mentions, label_sentence)
 from .model import (CONDITIONS, Condition, LabelValue, Report, normalize_text,
                     segment_sentences)
 
@@ -80,16 +80,6 @@ class RetrievalIndex:
     impressions: dict[str, str]
     negative_pool: dict[Condition, tuple[PooledSentence, ...]]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RetrievalIndex):
-            return NotImplemented
-        return (self.lexicon_version == other.lexicon_version
-                and self.corpus_digest == other.corpus_digest
-                and self.report_count == other.report_count
-                and self.by_label_set == other.by_label_set
-                and self.impressions == other.impressions
-                and self.negative_pool == other.negative_pool)
-
     def to_dict(self) -> dict:
         return {
             "format_version": INDEX_FORMAT_VERSION,
@@ -138,21 +128,12 @@ class RetrievalIndex:
             raise InputError(f"invalid retrieval index: {exc}") from None
 
     def save(self, path: str) -> None:
-        write_text_atomic(
-            path,
-            json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True,
-                       indent=2) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str,
              lexicon: Optional[Lexicon] = None) -> "RetrievalIndex":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(
-                    f"{path}: invalid index JSON: {exc.msg}") from None
-        index = cls.from_dict(obj)
+        index = cls.from_dict(read_json(path, "index"))
         if lexicon is not None and index.lexicon_version != lexicon.version:
             raise InputError(
                 f"index lexicon version {index.lexicon_version!r} does not "
@@ -178,10 +159,11 @@ def build_index(cleaned_corpus: Sequence[Report],
     for report in cleaned_corpus:
         impression = normalize_text(report.impression)
         impressions[report.study_id] = impression
-        positives = label_report(impression, lexicon).positives()
+        sentences = segment_sentences(impression)
+        vectors = [label_sentence(sentence, lexicon) for sentence in sentences]
+        positives = aggregate_labels(vectors).positives()
         by_label_set.setdefault(positives, []).append(report.study_id)
-        for sentence in segment_sentences(impression):
-            vector = label_sentence(sentence.text, lexicon)
+        for sentence, vector in zip(sentences, vectors):
             mentioned = vector.mentions()
             if len(mentioned) != 1:
                 continue
@@ -347,40 +329,21 @@ def generate_remote(request: GenerationRequest, endpoint: str,
     ``{"completion": str}``. The completion is returned normalized but
     otherwise verbatim; validating its labels is the evaluator's job. No
     retries, so a flaky endpoint never produces duplicate generations.
+    Pass one ``session`` for a whole run to reuse its connections.
     """
+    if session is None:
+        with requests.Session() as own:
+            return generate_remote(request, endpoint, auth_token, timeout, own)
     prompt = build_generation_prompt(request)
-    headers = {"Content-Type": "application/json"}
-    if auth_token:
-        headers["Authorization"] = f"Bearer {auth_token}"
-    post = (session or requests).post
     started = time.perf_counter()
-    try:
-        response = post(endpoint, json={"study_id": request.study_id,
-                                        "prompt": prompt},
-                        headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
-        raise BackendError(
-            f"generation endpoint {endpoint} unreachable for request "
-            f"{request.study_id!r}: {exc}",
-            study_id=request.study_id, endpoint=endpoint) from None
+    completion = post_json(
+        session, endpoint,
+        {"study_id": request.study_id, "prompt": prompt}, "completion",
+        what="generation", noun="completion",
+        auth_token=auth_token, timeout=timeout,
+        suffix=f" for request {request.study_id!r}",
+        study_id=request.study_id)
     latency_ms = (time.perf_counter() - started) * 1000.0
-    if response.status_code != 200:
-        raise BackendError(
-            f"generation endpoint {endpoint} returned HTTP "
-            f"{response.status_code} for request {request.study_id!r}",
-            study_id=request.study_id, endpoint=endpoint)
-    try:
-        completion = response.json()["completion"]
-    except (ValueError, KeyError):
-        raise BackendError(
-            f"generation endpoint {endpoint} returned a payload without "
-            f"'completion' for request {request.study_id!r}",
-            study_id=request.study_id, endpoint=endpoint) from None
-    if not isinstance(completion, str):
-        raise BackendError(
-            f"generation endpoint {endpoint} returned a non-string "
-            f"completion for request {request.study_id!r}",
-            study_id=request.study_id, endpoint=endpoint)
     return RemoteGeneration(study_id=request.study_id,
                             text=normalize_text(completion), prompt=prompt,
                             latency_ms=latency_ms)

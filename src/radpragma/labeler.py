@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Union
 
+from .corpus_io import read_json, write_text_atomic
 from .errors import InputError
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Sentence,
                     normalize_text, segment_sentences)
@@ -107,16 +108,9 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str) -> "Lexicon":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: invalid lexicon JSON: {exc.msg}") \
-                    from None
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path, "lexicon"))
 
     def save(self, path: str) -> None:
-        from .corpus_io import write_text_atomic
         write_text_atomic(
             path, json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
@@ -218,10 +212,8 @@ def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:
 def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Segment text into sentences, label each, and aggregate."""
     lexicon = lexicon or default_lexicon()
-    sentences = segment_sentences(text)
-    if not sentences:
-        return LabelVector.all_not_mentioned()
-    return aggregate_labels(label_sentence(s, lexicon) for s in sentences)
+    return aggregate_labels(label_sentence(s, lexicon)
+                            for s in segment_sentences(text))
 
 
 def indication_mentions(indication: str,

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
+from .corpus_io import read_json
 from .errors import InputError
 from .labeler import Lexicon, default_lexicon, label_report
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Report,
-                    matches_stem, tokenize)
+                    any_stem_match, tokenize)
 
 #: Default conditions for Positive F1-5: most frequent positive conditions.
 POSITIVE_F1_5_DEFAULT: tuple[Condition, ...] = (
@@ -207,12 +208,8 @@ class KeywordCatalog:
     def flags(self, text: str) -> frozenset[str]:
         """Categories whose stems match any token of ``text``."""
         tokens = tokenize(text)
-        flagged = set()
-        for name, stems in self.categories:
-            if any(matches_stem(token, stem)
-                   for token in tokens for stem in stems):
-                flagged.add(name)
-        return frozenset(flagged)
+        return frozenset(name for name, stems in self.categories
+                         if any_stem_match(tokens, stems))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KeywordCatalog":
@@ -230,13 +227,7 @@ class KeywordCatalog:
 
     @classmethod
     def load(cls, path: str) -> "KeywordCatalog":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(
-                    f"{path}: invalid keyword JSON: {exc.msg}") from None
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path, "keyword"))
 
 
 _DEFAULT_CATALOG: Optional[KeywordCatalog] = None

@@ -15,7 +15,7 @@ Undefined rates (zero denominator) surface as ``None``, never as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 from .errors import DegenerateTableError, InputError
@@ -141,71 +141,43 @@ class CorpusSummary:
         return dict(self.per_condition)
 
     def scalar_fields(self) -> dict[str, Optional[float]]:
-        fields = {
-            "report_count": float(self.report_count),
-            "pct_no_finding": self.pct_no_finding,
-            "avg_positive_mentions": self.avg_positive_mentions,
-            "avg_positive_mentions_non_no_finding":
-                self.avg_positive_mentions_non_no_finding,
-            "avg_negative_mentions": self.avg_negative_mentions,
-            "avg_negative_mentions_non_no_finding":
-                self.avg_negative_mentions_non_no_finding,
-        }
+        out = {name: _as_float(getattr(self, name))
+               for name in _SUMMARY_SCALARS}
         for condition, stats in self.per_condition:
-            prefix = condition.value
-            fields[f"{prefix}/negative_mentions"] = float(stats.negative_mentions)
-            fields[f"{prefix}/indication_mentions"] = \
-                float(stats.indication_mentions)
-            fields[f"{prefix}/pct_reports_with_negative_given_indication"] = \
-                stats.pct_reports_with_negative_given_indication
-        return fields
+            for name in _CONDITION_FIELDS:
+                out[f"{condition.value}/{name}"] = \
+                    _as_float(getattr(stats, name))
+        return out
 
     def to_dict(self) -> dict:
-        return {
-            "report_count": self.report_count,
-            "pct_no_finding": self.pct_no_finding,
-            "avg_positive_mentions": self.avg_positive_mentions,
-            "avg_positive_mentions_non_no_finding":
-                self.avg_positive_mentions_non_no_finding,
-            "avg_negative_mentions": self.avg_negative_mentions,
-            "avg_negative_mentions_non_no_finding":
-                self.avg_negative_mentions_non_no_finding,
-            "per_condition": {
-                c.value: {
-                    "negative_mentions": s.negative_mentions,
-                    "indication_mentions": s.indication_mentions,
-                    "pct_reports_with_negative_given_indication":
-                        s.pct_reports_with_negative_given_indication,
-                }
-                for c, s in self.per_condition
-            },
-        }
+        out = {name: getattr(self, name) for name in _SUMMARY_SCALARS}
+        out["per_condition"] = {c.value: asdict(s)
+                                for c, s in self.per_condition}
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CorpusSummary":
         try:
             per_condition = tuple(
-                (condition, ConditionStats(
-                    negative_mentions=entry["negative_mentions"],
-                    indication_mentions=entry["indication_mentions"],
-                    pct_reports_with_negative_given_indication=entry[
-                        "pct_reports_with_negative_given_indication"],
-                ))
-                for condition in CONDITIONS
-                for entry in (obj["per_condition"][condition.value],))
-            return cls(
-                report_count=obj["report_count"],
-                pct_no_finding=obj["pct_no_finding"],
-                avg_positive_mentions=obj["avg_positive_mentions"],
-                avg_positive_mentions_non_no_finding=obj[
-                    "avg_positive_mentions_non_no_finding"],
-                avg_negative_mentions=obj["avg_negative_mentions"],
-                avg_negative_mentions_non_no_finding=obj[
-                    "avg_negative_mentions_non_no_finding"],
-                per_condition=per_condition,
-            )
+                (condition, ConditionStats(**{
+                    name: obj["per_condition"][condition.value][name]
+                    for name in _CONDITION_FIELDS}))
+                for condition in CONDITIONS)
+            return cls(per_condition=per_condition,
+                       **{name: obj[name] for name in _SUMMARY_SCALARS})
         except KeyError as exc:
             raise InputError(f"invalid corpus summary: missing {exc}") from None
+        except TypeError as exc:
+            raise InputError(f"invalid corpus summary: {exc}") from None
+
+
+_SUMMARY_SCALARS = tuple(f.name for f in fields(CorpusSummary)
+                         if f.name != "per_condition")
+_CONDITION_FIELDS = tuple(f.name for f in fields(ConditionStats))
+
+
+def _as_float(value) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 def _lookup(mapping: Mapping, study_id: str, what: str):

@@ -4,7 +4,7 @@ from synth import AdversarialBackend, guard_fixture_sentences
 
 from radpragma.backends import PatternBackend, RemoteRewriteBackend
 from radpragma.cleaning import (DEFAULT_RULES, REMOVED, CleaningRule,
-                                RuleAction, apply_rule, build_rewrite_prompt,
+                                apply_rule, build_rewrite_prompt,
                                 clean_report, clean_report_audited,
                                 clean_sentence, evaluate_cleaning)
 from radpragma.errors import BackendError, InputError
@@ -65,14 +65,9 @@ class TestRuleDefinitions:
         assert '"new", "increase", "greater", "worsen"' in \
             RULES[5].prompt_template
 
-    def test_action_kinds(self):
-        assert RULES[2].action is RuleAction.REMOVE_SENTENCE
-        assert RULES[5].action is RuleAction.REWRITE_POSITIVE
-        assert RULES[7].action is RuleAction.REWRITE_NEGATIVE
-
     def test_prompt_requires_removed_token(self):
         with pytest.raises(ValueError, match="REMOVED"):
-            CleaningRule(1, "x", RuleAction.REMOVE_PHRASE, ("a",), "no token")
+            CleaningRule(1, "x", ("a",), "no token")
 
     def test_rewrite_prompt_embeds_sentence(self):
         prompt = build_rewrite_prompt(RULES[2], "No pneumothorax.")

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+import requests
 
 from pipeline import run_pipeline
 
@@ -10,6 +11,14 @@ from radpragma.corpus_io import read_labels_csv, read_reports_jsonl
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus.jsonl")
+
+
+def _single_error(capsys, *fragments):
+    """Assert stderr is one ``error:`` line holding every fragment."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    for fragment in fragments:
+        assert fragment in lines[0]
 
 
 class TestParser:
@@ -44,6 +53,72 @@ class TestInputErrors:
                      "--out", str(tmp_path / "labels.csv")])
         assert code == 1
         assert "bad.jsonl:2" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_exits_1_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"study_id":"a","impression":"No \xe9dema."}\n')
+        code = main(["label", "--in", str(bad),
+                     "--out", str(tmp_path / "labels.csv")])
+        assert code == 1
+        _single_error(capsys, "bad.jsonl", "UTF-8")
+
+    def test_non_utf8_label_csv_exits_1_naming_file(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        assert main(["label", "--in", CORPUS, "--out", str(labels)]) == 0
+        labels.write_bytes(labels.read_bytes() + b"s\xe9" + b"," * 14
+                           + b"\n")
+        code = main(["stats", "--in", CORPUS, "--labels", str(labels),
+                     "--out", str(tmp_path / "stats.csv")])
+        assert code == 1
+        _single_error(capsys, "labels.csv", "UTF-8")
+
+    def test_retrieval_generate_without_index_exits_1(self, tmp_path,
+                                                      capsys):
+        code = main(["generate", "--requests", CORPUS, "--mode", "retrieval",
+                     "--out", str(tmp_path / "generated.jsonl")])
+        assert code == 1
+        _single_error(capsys, "retrieval generation requires --index")
+
+    def test_env_value_of_wrong_type_exits_1(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("RADPRAGMA_JOBS", "abc")
+        code = main(["label", "--in", CORPUS,
+                     "--out", str(tmp_path / "labels.csv")])
+        assert code == 1
+        _single_error(capsys, "RADPRAGMA_JOBS", "'abc'")
+
+    @pytest.mark.parametrize("values", [{"jobs": "4"}, {"timeout": None},
+                                        {"retries": True}, [1]])
+    def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys,
+                                                values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code = main(["clean", "--in", CORPUS, "--config", str(config),
+                     "--out", str(tmp_path / "cleaned.jsonl")])
+        assert code == 1
+        _single_error(capsys, "config.json",
+                      *(repr(key) for key in values if isinstance(key, str)))
+
+    def test_config_values_of_field_type_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"timeout": 5, "seed": None,
+                                      "jobs": 1, "f1_average": "macro"}))
+        out = tmp_path / "labels.csv"
+        assert main(["label", "--in", CORPUS, "--config", str(config),
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "labels.csv.run.json").read_text())
+        assert sidecar["config"]["timeout"] == 5
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        out = tmp_path / "labels.csv"
+        previous = os.umask(0o022)
+        try:
+            assert main(["label", "--in", CORPUS, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o644
+        assert sorted(os.listdir(tmp_path)) == ["labels.csv",
+                                                "labels.csv.run.json"]
 
     def test_unknown_condition_exits_1(self, tmp_path, capsys):
         code = main(["chi2", "--in", CORPUS, "--condition", "Emphysema",
@@ -173,6 +248,16 @@ class TestShiftCommand:
                      "--config", str(config)]) == 0
         assert "0 field(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["{bad", "[1]", '{"report_count": 1}'])
+    def test_bad_summary_json_exits_1_naming_file(self, tmp_path, capsys,
+                                                  text):
+        a, _ = self._write_summaries(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["shift", "--a", str(a), "--b", str(bad)])
+        assert code == 1
+        _single_error(capsys, "bad.json")
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         a, b = self._write_summaries(tmp_path)
         config = tmp_path / "config.json"
@@ -226,6 +311,25 @@ class TestRemoteFailures:
         audit_lines = (tmp_path / "audit.jsonl").read_text().splitlines()
         assert len(audit_lines) == len(reports)
         assert "latency_ms" in json.loads(audit_lines[0])
+
+    def test_generate_remote_shares_one_session(self, tmp_path,
+                                                http_endpoint, monkeypatch):
+        sessions = []
+        real_request = requests.Session.request
+
+        def recording(session, *args, **kwargs):
+            sessions.append(session)
+            return real_request(session, *args, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "request", recording)
+        url = http_endpoint(
+            lambda body, handler: (200, {"completion": "No acute process."}))
+        code = main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", url, "--jobs", "2",
+                     "--out", str(tmp_path / "generated.jsonl")])
+        assert code == 0
+        assert len(sessions) == len(read_reports_jsonl(CORPUS))
+        assert len({id(session) for session in sessions}) == 1
 
     def test_clean_remote_against_mock_endpoint(self, tmp_path,
                                                 http_endpoint):

@@ -8,7 +8,7 @@ from radpragma.generator import (GenerationRequest, RetrievalIndex,
                                  generate_remote, generate_retrieval,
                                  render_positive_labels)
 from radpragma.labeler import default_lexicon, label_report
-from radpragma.model import Condition, Report
+from radpragma.model import Condition, Report, segment_sentences
 
 PE = Condition.PLEURAL_EFFUSION
 ED = Condition.EDEMA
@@ -69,6 +69,24 @@ class TestBuildIndex:
             built = build_index(corpus, lexicon)
         assert all(pool == () for pool in built.negative_pool.values())
         assert "negative pools are empty" in caplog.text
+
+    def test_labels_each_sentence_once(self, lexicon, monkeypatch):
+        import radpragma.generator as generator_module
+        import radpragma.labeler as labeler_module
+
+        labeled = []
+        real = labeler_module.label_sentence
+
+        def counting(sentence, lexicon=None):
+            labeled.append(getattr(sentence, "text", sentence))
+            return real(sentence, lexicon)
+
+        monkeypatch.setattr(labeler_module, "label_sentence", counting)
+        monkeypatch.setattr(generator_module, "label_sentence", counting)
+        build_index(small_corpus(), lexicon)
+        assert labeled == [sentence.text for report in small_corpus()
+                           for sentence in segment_sentences(
+                               report.impression)]
 
     def test_indexed_positive_sets_match_keys(self, index, lexicon):
         for key, ids in index.by_label_set.items():

@@ -238,26 +238,6 @@ class TestLabelCsv:
             read_labels_csv(str(path))
 
 
-class TestFormatDispatch:
-    def test_read_write_corpus_round_trips_both_formats(self, tmp_path):
-        from radpragma.corpus_io import read_corpus, write_corpus
-
-        reports = [Report(study_id="s1", impression="No edema.")]
-        labels = {"s1": _vector(Edema=LabelValue.NEGATIVE)}
-        jsonl = tmp_path / "c.jsonl"
-        csvp = tmp_path / "l.csv"
-        write_corpus(reports, str(jsonl), "report-jsonl")
-        write_corpus(labels, str(csvp), "label-csv")
-        assert read_corpus(str(jsonl), "report-jsonl") == reports
-        assert read_corpus(str(csvp), "label-csv") == labels
-
-    def test_unknown_format_rejected(self, tmp_path):
-        from radpragma.corpus_io import read_corpus
-
-        with pytest.raises(InputError, match="unknown corpus format"):
-            read_corpus(str(tmp_path / "x"), "parquet")
-
-
 class TestStemMatching:
     def test_short_stems_exact(self):
         assert matches_stem("ap", "ap")
