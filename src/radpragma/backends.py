@@ -227,7 +227,7 @@ def post_json(session: requests.Session, endpoint: str, payload: dict,
         raise failure(f"returned HTTP {response.status_code}")
     try:
         value = response.json()[key]
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, TypeError):  # TypeError: not an object
         raise failure(f"returned a payload without {key!r}") from None
     if not isinstance(value, str):
         raise failure(f"returned a non-string {noun}")

@@ -14,8 +14,6 @@ Exit codes: 0 success, 1 input error, 2 remote-backend failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -45,7 +43,6 @@ class Config:
     auth_token: Optional[str] = None
     timeout: float = 30.0
     retries: int = 2
-    in_flight: int = 4
     shift_threshold: float = 0.25
     f1_average: str = "macro"
     jobs: int = 1
@@ -54,6 +51,9 @@ class Config:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
+#: The allowed values of the Config fields that take only a few.
+_CHOICES = {"f1_average": metrics.F1_AVERAGES}
+
 
 def _kind(name: str) -> type:
     """The scalar type of a Config field: int, float or str."""
@@ -61,23 +61,39 @@ def _kind(name: str) -> type:
     return int if "int" in declared else float if "float" in declared else str
 
 
+def _expected(name: str) -> str:
+    """What a Config field takes, for error messages."""
+    if name in _CHOICES:
+        return "one of " + ", ".join(_CHOICES[name])
+    return _kind(name).__name__
+
+
+def _allowed(name: str, value) -> bool:
+    return name not in _CHOICES or value in _CHOICES[name]
+
+
 def _coerce(name: str, raw: str):
-    kind = _kind(name)
     try:
-        return kind(raw)
+        value = _kind(name)(raw)
     except ValueError:
-        raise InputError(f"{ENV_PREFIX}{name.upper()}: expected "
-                         f"{kind.__name__}, got {raw!r}") from None
+        pass
+    else:
+        if _allowed(name, value):
+            return value
+    raise InputError(f"{ENV_PREFIX}{name.upper()}: expected "
+                     f"{_expected(name)}, got {raw!r}")
 
 
 def _accepts(name: str, value) -> bool:
-    """Whether a config-file value fits the Config field's type."""
+    """Whether a config-file value fits the Config field's type and
+    allowed values."""
     if value is None:
         return "Optional" in _FIELD_TYPES[name]
     kind = _kind(name)
     if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and _allowed(name, value))
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
@@ -92,7 +108,7 @@ def resolve_config(args: argparse.Namespace) -> Config:
                 raise InputError(f"{path}: unknown config key {name!r}")
             if not _accepts(name, value):
                 raise InputError(f"{path}: config key {name!r} expects "
-                                 f"{_kind(name).__name__}, got {value!r}")
+                                 f"{_expected(name)}, got {value!r}")
             setattr(config, name, value)
     for name in _FIELD_TYPES:
         raw = os.environ.get(ENV_PREFIX + name.upper())
@@ -121,12 +137,6 @@ def _write_jsonl(path: str, records) -> None:
     corpus_io.write_text_atomic(
         path, "".join(json.dumps(record, ensure_ascii=False, sort_keys=True)
                       + "\n" for record in records))
-
-
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
 
 
 def _write_run_config(primary_out: Optional[str], command: str,
@@ -186,7 +196,7 @@ def _summary_csv(summary: stats.CorpusSummary) -> str:
              + [f.name for f in fields(stats.ConditionStats)]]
     rows += [[name] + [_cell(value) for value in cstats.values()]
              for name, cstats in per_condition.items()]
-    return _csv_text(rows)
+    return corpus_io.csv_text(rows)
 
 
 def _print_summary(summary: stats.CorpusSummary) -> None:
@@ -251,7 +261,7 @@ def cmd_chi2(args) -> int:
             significant = ""
         rows.append([condition.value, _fmt(p_in), _fmt(p_out),
                      stat_text, p_text, significant])
-    corpus_io.write_text_atomic(args.out, _csv_text(rows))
+    corpus_io.write_text_atomic(args.out, corpus_io.csv_text(rows))
     _write_run_config(args.out, "chi2", config,
                       {"in": args.infile, "labels": args.labels})
     return 0
@@ -274,7 +284,7 @@ def cmd_shift(args) -> int:
               _fmt(delta.relative), str(delta.flagged).lower()]
              for delta in shift.fields]
     if args.out:
-        corpus_io.write_text_atomic(args.out, _csv_text(rows))
+        corpus_io.write_text_atomic(args.out, corpus_io.csv_text(rows))
         _write_run_config(args.out, "shift", config,
                           {"a": args.a, "b": args.b})
     flagged = shift.flagged_fields()
@@ -303,14 +313,11 @@ def cmd_clean(args) -> int:
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
     backend = _make_rewrite_backend(args, config)
-    workers = config.jobs
-    if args.backend == "remote":
-        workers = max(1, min(config.jobs, config.in_flight))
 
     def work(report):
         return cleaning.clean_report_audited(report, backend, lexicon=lexicon)
 
-    results = _run_all(work, corpus, workers)
+    results = _run_all(work, corpus, config.jobs)
     corpus_io.write_reports_jsonl([report for report, _ in results], args.out)
     if args.audit:
         _write_jsonl(args.audit,
@@ -407,8 +414,7 @@ def cmd_generate(args) -> int:
                     auth_token=config.auth_token, timeout=config.timeout,
                     session=session)
 
-            results = _run_all(work, requests_in,
-                               max(1, min(config.jobs, config.in_flight)))
+            results = _run_all(work, requests_in, config.jobs)
     reports = [Report(study_id=request.study_id,
                       indication=request.indication,
                       impression=result.text)
@@ -441,7 +447,7 @@ def cmd_evaluate(args) -> int:
     scores = report.to_dict()
     corpus_io.write_json(args.out, scores)
     if args.csv:
-        corpus_io.write_text_atomic(args.csv, _csv_text([
+        corpus_io.write_text_atomic(args.csv, corpus_io.csv_text([
             _METRICS_CSV_COLUMNS,
             [_fmt(scores[column]) for column in _METRICS_CSV_COLUMNS]]))
     print("Positive F1-5 conditions: "
@@ -573,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precomputed label CSV for the original references")
     p.add_argument("--keywords", help="keyword catalog JSON path")
     p.add_argument("--average", dest="f1_average",
-                   choices=["macro", "micro"])
+                   choices=_CHOICES["f1_average"])
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--csv", help="optional one-row metrics CSV")
     p.set_defaults(handler=cmd_evaluate)

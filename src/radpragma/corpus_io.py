@@ -176,13 +176,17 @@ def _check_label_header(path: str, header: list[str]) -> None:
     raise InputError(f"{path}: label columns out of canonical order")
 
 
-def labels_csv_text(labels: Mapping[str, LabelVector]) -> str:
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """``rows`` as CSV text with ``\\n`` line endings."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_LABEL_HEADER)
-    for study_id, vector in labels.items():
-        writer.writerow([study_id] + [v.to_csv() for v in vector.values])
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def labels_csv_text(labels: Mapping[str, LabelVector]) -> str:
+    return csv_text([_LABEL_HEADER] + [
+        [study_id] + [v.to_csv() for v in vector.values]
+        for study_id, vector in labels.items()])
 
 
 def write_labels_csv(labels: Mapping[str, LabelVector], path: str) -> None:

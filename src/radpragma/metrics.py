@@ -24,7 +24,10 @@ from .corpus_io import read_json
 from .errors import InputError
 from .labeler import Lexicon, default_lexicon, label_report
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Report,
-                    any_stem_match, tokenize)
+                    any_stem_match, normalize_text, tokenize)
+
+#: The allowed ``average`` values of the F1 scores.
+F1_AVERAGES: tuple[str, ...] = ("macro", "micro")
 
 #: Default conditions for Positive F1-5: most frequent positive conditions.
 POSITIVE_F1_5_DEFAULT: tuple[Condition, ...] = (
@@ -85,7 +88,7 @@ def _label_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
     conditions = tuple(conditions)
     if any(c.is_no_finding for c in conditions):
         raise ValueError("No Finding is excluded from F1 scoring")
-    if average not in ("macro", "micro"):
+    if average not in F1_AVERAGES:
         raise ValueError(f"unknown F1 average: {average!r}")
     ids = _aligned_ids(pred, ref)
     per_condition = {}
@@ -174,7 +177,6 @@ def bleu2(hypotheses: Sequence[str], references: Sequence[str]) -> float:
 def exact_match_accuracy(hypotheses: Sequence[str],
                          references: Sequence[str]) -> float:
     """Fraction of pairs equal after whitespace normalization."""
-    from .model import normalize_text
     if len(hypotheses) != len(references):
         raise InputError(
             f"hypothesis/reference length mismatch: {len(hypotheses)} vs "

@@ -1,5 +1,5 @@
 """Corpus statistics, indication-conditioned negative-mention rates, and the
-Pearson chi-square independence test.
+Pearson chi-square independence test (1 dof, closed-form p-value).
 
 The conditional rates compare how often a condition is explicitly negated
 when it is asked about in the indication versus when it is not, restricted
@@ -46,63 +46,13 @@ class ContingencyTable2x2:
         return self.a + self.b + self.c + self.d
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a, x) by the power series, valid for x < a + 1.
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(500):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_fraction(a: float, x: float) -> float:
-    # Q(a, x) by Lentz's continued fraction, valid for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x), absolute error < 1e-13."""
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be non-negative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, x)))
-    return min(1.0, max(0.0, _upper_gamma_fraction(a, x)))
-
-
 def chi_square_test(table: ContingencyTable2x2) -> tuple[float, float]:
     """Pearson chi-square statistic (1 dof, no continuity correction) and its
     upper-tail p-value.
 
-    The statistic is computed from observed-vs-expected cell counts; the
-    p-value is Q(1/2, statistic/2) via the regularized incomplete gamma.
+    The statistic is computed from observed-vs-expected cell counts. With
+    one degree of freedom the chi-square upper tail has the closed form
+    ``erfc(sqrt(statistic / 2))`` (Abramowitz & Stegun, ch. 26).
     """
     row1 = table.a + table.b
     row2 = table.c + table.d
@@ -117,7 +67,7 @@ def chi_square_test(table: ContingencyTable2x2) -> tuple[float, float]:
         expected = row * col / n
         diff = observed - expected
         statistic += diff * diff / expected
-    return statistic, regularized_upper_gamma(0.5, statistic / 2.0)
+    return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
 
 @dataclass(frozen=True)
@@ -159,12 +109,12 @@ class CorpusSummary:
     def from_dict(cls, obj: dict) -> "CorpusSummary":
         try:
             per_condition = tuple(
-                (condition, ConditionStats(**{
-                    name: obj["per_condition"][condition.value][name]
-                    for name in _CONDITION_FIELDS}))
+                (condition, ConditionStats(**_numbers(
+                    obj["per_condition"][condition.value], _CONDITION_FIELDS,
+                    f"{condition.value}/")))
                 for condition in CONDITIONS)
             return cls(per_condition=per_condition,
-                       **{name: obj[name] for name in _SUMMARY_SCALARS})
+                       **_numbers(obj, _SUMMARY_SCALARS, ""))
         except KeyError as exc:
             raise InputError(f"invalid corpus summary: missing {exc}") from None
         except TypeError as exc:
@@ -174,6 +124,28 @@ class CorpusSummary:
 _SUMMARY_SCALARS = tuple(f.name for f in fields(CorpusSummary)
                          if f.name != "per_condition")
 _CONDITION_FIELDS = tuple(f.name for f in fields(ConditionStats))
+_FIELD_TYPES = {f.name: f.type
+                for cls in (CorpusSummary, ConditionStats) for f in fields(cls)}
+
+
+def _numbers(record: dict, names: Sequence[str], prefix: str) -> dict:
+    """``record``'s values for ``names``, each checked against its field's
+    type: an int field takes a JSON integer, a float field any JSON number,
+    and only an Optional field takes null."""
+    out = {}
+    for name in names:
+        value = out[name] = record[name]
+        declared = _FIELD_TYPES[name]
+        if value is None:
+            valid = "Optional" in declared
+        else:
+            valid = not isinstance(value, bool) and isinstance(
+                value, (int, float) if "float" in declared else int)
+        if not valid:
+            raise InputError(f"invalid corpus summary: field "
+                             f"{prefix + name!r} expects {declared}, "
+                             f"got {value!r}")
+    return out
 
 
 def _as_float(value) -> Optional[float]:

@@ -39,7 +39,8 @@ def http_endpoint():
     def start(respond):
         server = _QuietServer(("127.0.0.1", 0), _JsonHandler)
         server.respond = respond
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}/"

@@ -336,6 +336,15 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="rewritten"):
             apply_rule("Recommend CT.", RULES[3], backend)
 
+    @pytest.mark.parametrize("payload", [[1], "x", None])
+    def test_non_object_payload_raises_backend_error(self, http_endpoint,
+                                                     payload):
+        url = http_endpoint(lambda body, handler: (200, payload))
+        backend = RemoteRewriteBackend(url)
+        with pytest.raises(BackendError, match="rewritten") as info:
+            apply_rule("Recommend CT.", RULES[3], backend)
+        assert info.value.rule_id == 3
+
     def test_unreachable_endpoint(self):
         backend = RemoteRewriteBackend("http://127.0.0.1:9/", timeout=0.2)
         with pytest.raises(BackendError, match="unreachable"):

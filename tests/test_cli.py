@@ -99,6 +99,31 @@ class TestInputErrors:
         _single_error(capsys, "config.json",
                       *(repr(key) for key in values if isinstance(key, str)))
 
+    def _evaluate(self, tmp_path, *extra):
+        return main(["evaluate", "--generated", CORPUS,
+                     "--ref-original", CORPUS, "--ref-clean", CORPUS,
+                     "--out", str(tmp_path / "metrics.json"), *extra])
+
+    def test_env_value_not_allowed_exits_1(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("RADPRAGMA_F1_AVERAGE", "foo")
+        assert self._evaluate(tmp_path) == 1
+        _single_error(capsys, "RADPRAGMA_F1_AVERAGE", "'foo'", "macro")
+
+    def test_config_value_not_allowed_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"f1_average": "foo"}))
+        assert self._evaluate(tmp_path, "--config", str(config)) == 1
+        _single_error(capsys, "config.json", "'f1_average'", "'foo'")
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_allowed_f1_average_from_env_is_used(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("RADPRAGMA_F1_AVERAGE", "micro")
+        assert self._evaluate(tmp_path) == 0
+        scores = json.loads((tmp_path / "metrics.json").read_text())
+        assert scores["average"] == "micro"
+
     def test_config_values_of_field_type_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"timeout": 5, "seed": None,
@@ -258,6 +283,36 @@ class TestShiftCommand:
         assert code == 1
         _single_error(capsys, "bad.json")
 
+    @pytest.mark.parametrize("field, value", [
+        ("pct_no_finding", "x"), ("pct_no_finding", "1.5"),
+        ("pct_no_finding", None), ("report_count", True),
+        ("report_count", 1.5), ("Edema/negative_mentions", "2"),
+        ("Edema/pct_reports_with_negative_given_indication", False)])
+    def test_summary_value_of_wrong_type_exits_1(self, tmp_path, capsys,
+                                                 field, value):
+        a, b = self._write_summaries(tmp_path)
+        summary = json.loads(b.read_text())
+        if "/" in field:
+            condition, name = field.split("/")
+            summary["per_condition"][condition][name] = value
+        else:
+            summary[field] = value
+        b.write_text(json.dumps(summary))
+        code = main(["shift", "--a", str(a), "--b", str(b)])
+        assert code == 1
+        _single_error(capsys, "b.json", repr(field))
+
+    def test_summary_null_in_optional_field_is_accepted(self, tmp_path,
+                                                        capsys):
+        a, b = self._write_summaries(tmp_path)
+        summary = json.loads(b.read_text())
+        summary["avg_positive_mentions_non_no_finding"] = None
+        summary["per_condition"]["Edema"][
+            "pct_reports_with_negative_given_indication"] = None
+        b.write_text(json.dumps(summary))
+        assert main(["shift", "--a", str(a), "--b", str(b)]) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         a, b = self._write_summaries(tmp_path)
         config = tmp_path / "config.json"
@@ -311,6 +366,17 @@ class TestRemoteFailures:
         audit_lines = (tmp_path / "audit.jsonl").read_text().splitlines()
         assert len(audit_lines) == len(reports)
         assert "latency_ms" in json.loads(audit_lines[0])
+
+    def test_generate_remote_non_object_payload_exits_2(self, tmp_path,
+                                                        capsys,
+                                                        http_endpoint):
+        url = http_endpoint(lambda body, handler: (200, [1]))
+        out = tmp_path / "generated.jsonl"
+        code = main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", url, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        _single_error(capsys, url, "'completion'")
 
     def test_generate_remote_shares_one_session(self, tmp_path,
                                                 http_endpoint, monkeypatch):

@@ -312,3 +312,10 @@ class TestGenerateRemote:
         url = http_endpoint(lambda body, handler: (200, {"oops": True}))
         with pytest.raises(BackendError, match="completion"):
             generate_remote(request(), url)
+
+    @pytest.mark.parametrize("payload", [[1], "x", None])
+    def test_non_object_payload(self, http_endpoint, payload):
+        url = http_endpoint(lambda body, handler: (200, payload))
+        with pytest.raises(BackendError, match="completion") as info:
+            generate_remote(request(study_id="q3"), url)
+        assert info.value.study_id == "q3"

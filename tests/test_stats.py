@@ -11,7 +11,7 @@ from radpragma.errors import DegenerateTableError, InputError
 from radpragma.model import Condition, LabelValue, LabelVector, Report
 from radpragma.stats import (ContingencyTable2x2, CorpusSummary,
                              chi_square_test, conditional_negative_rates,
-                             regularized_upper_gamma, shift_report, summarize)
+                             shift_report, summarize)
 
 POS = LabelValue.POSITIVE
 NEG = LabelValue.NEGATIVE
@@ -73,32 +73,30 @@ class TestChiSquare:
                 assert p2 <= p1
 
 
-class TestRegularizedUpperGamma:
-    # anchors frozen from mpmath at 40 digits: Q(1/2, x/2) for chi2 stats
+class TestChiSquarePValue:
+    # frozen from mpmath at 40 digits: erfc(sqrt(s / 2)) for the table's
+    # exact rational statistic s
     ANCHORS = {
-        0.5: 0.47950012218695346,
-        1.0: 0.3173105078629141,
-        2.0: 0.15729920705028513,
-        3.841458820694124: 0.05000000000000006,
-        6.634896601021213: 0.010000000000000012,
-        10.0: 0.0015654022580025496,
-        25.0: 5.733031437583878e-07,
+        (11, 9, 9, 11): 0.5270892568655381,
+        (20, 10, 10, 20): 0.009823274507519249,
+        (30, 10, 10, 30): 7.744216431044084e-06,
+        (40, 5, 5, 40): 1.5990512424004002e-13,
+        (90, 10, 10, 90): 1.1224297172982926e-29,
+        (200, 1, 1, 200): 1.0924942315173735e-87,
     }
 
     def test_against_high_precision_anchors(self):
-        for statistic, expected in self.ANCHORS.items():
-            assert regularized_upper_gamma(0.5, statistic / 2.0) == \
-                pytest.approx(expected, abs=1e-12)
+        for cells, expected in self.ANCHORS.items():
+            _, p_value = chi_square_test(ContingencyTable2x2(*cells))
+            assert p_value == pytest.approx(expected, abs=1e-12), cells
+            # the absolute bound says nothing about the tiny tails
+            assert math.isclose(p_value, expected, rel_tol=1e-12), cells
 
     def test_bounds(self):
-        assert regularized_upper_gamma(0.5, 0.0) == 1.0
-        assert 0.0 <= regularized_upper_gamma(0.5, 400.0) < 1e-80
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            regularized_upper_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_upper_gamma(0.5, -1.0)
+        assert chi_square_test(ContingencyTable2x2(7, 7, 7, 7))[1] == 1.0
+        for cells in ((200, 1, 1, 200), (5000, 1, 1, 5000)):
+            _, p_value = chi_square_test(ContingencyTable2x2(*cells))
+            assert 0.0 <= p_value < 1e-80
 
 
 def _corpus(rows):
