@@ -5,19 +5,23 @@ list of ordered phrase-rewrite productions plus sentence-removal patterns.
 RemoteRewriteBackend sends the rule prompt and sentence to an HTTP endpoint
 (one POST per distinct (rule, sentence); responses are memoized so a run is
 deterministic even against a flaky endpoint).
+
+This module is the package's one HTTP client. It imports ``requests`` only
+when a session is opened or a POST is made, so offline runs never load it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
-
-import requests
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .cleaning import REMOVED, CleaningRule, build_rewrite_prompt
 from .errors import BackendError
 from .model import normalize_text
+
+if TYPE_CHECKING:
+    import requests
 
 _I = re.IGNORECASE
 
@@ -193,6 +197,12 @@ class PatternBackend:
                  6: _rule6, 7: _rule7}
 
 
+def http_session() -> requests.Session:
+    """A new HTTP session; close it (or use it in ``with``) when done."""
+    import requests
+    return requests.Session()
+
+
 def post_json(session: requests.Session, endpoint: str, payload: dict,
               key: str, *, what: str, noun: str,
               auth_token: Optional[str], timeout: float, retries: int = 0,
@@ -204,6 +214,8 @@ def post_json(session: requests.Session, endpoint: str, payload: dict,
     raise BackendError carrying ``endpoint`` and ``context``, with a message
     that names the ``what`` endpoint and ends in ``suffix``.
     """
+    import requests
+
     def failure(problem: str) -> BackendError:
         return BackendError(f"{what} endpoint {endpoint} {problem}{suffix}",
                             endpoint=endpoint, **context)
@@ -250,7 +262,7 @@ class RemoteRewriteBackend:
         self.timeout = timeout
         self.retries = retries
         self._auth_token = auth_token
-        self._session = session or requests.Session()
+        self._session = session or http_session()
         self._cache: dict[tuple[int, str], str] = {}
 
     def rewrite(self, rule: CleaningRule, sentence: str) -> str:

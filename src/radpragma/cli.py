@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
-
-import requests
 
 from . import backends, cleaning, corpus_io, generator, metrics, stats
 from .errors import BackendError, DegenerateTableError, InputError
@@ -51,8 +50,15 @@ class Config:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
-#: The allowed values of the Config fields that take only a few.
-_CHOICES = {"f1_average": metrics.F1_AVERAGES}
+#: The Config fields that take only some values of their type: a test of
+#: the value and what the test asks for.
+_LIMITS = {
+    "f1_average": (lambda v: v in metrics.F1_AVERAGES,
+                   "one of " + ", ".join(metrics.F1_AVERAGES)),
+    "timeout": (lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "retries": (lambda v: v >= 0, "an integer >= 0"),
+    "jobs": (lambda v: v >= 1, "an integer >= 1"),
+}
 
 
 def _kind(name: str) -> type:
@@ -63,13 +69,13 @@ def _kind(name: str) -> type:
 
 def _expected(name: str) -> str:
     """What a Config field takes, for error messages."""
-    if name in _CHOICES:
-        return "one of " + ", ".join(_CHOICES[name])
+    if name in _LIMITS:
+        return _LIMITS[name][1]
     return _kind(name).__name__
 
 
 def _allowed(name: str, value) -> bool:
-    return name not in _CHOICES or value in _CHOICES[name]
+    return name not in _LIMITS or _LIMITS[name][0](value)
 
 
 def _coerce(name: str, raw: str):
@@ -117,6 +123,9 @@ def resolve_config(args: argparse.Namespace) -> Config:
     for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
+            if not _allowed(name, value):
+                raise InputError(f"--{name.replace('_', '-')}: expected "
+                                 f"{_expected(name)}, got {value!r}")
             setattr(config, name, value)
     return config
 
@@ -406,7 +415,7 @@ def cmd_generate(args) -> int:
                 "remote generation requires an endpoint (flag "
                 "--generation-endpoint, env RADPRAGMA_GENERATION_ENDPOINT, "
                 "or config file)")
-        with requests.Session() as session:
+        with backends.http_session() as session:
 
             def work(request):
                 return generator.generate_remote(
@@ -579,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precomputed label CSV for the original references")
     p.add_argument("--keywords", help="keyword catalog JSON path")
     p.add_argument("--average", dest="f1_average",
-                   choices=_CHOICES["f1_average"])
+                   choices=metrics.F1_AVERAGES)
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--csv", help="optional one-row metrics CSV")
     p.set_defaults(handler=cmd_evaluate)

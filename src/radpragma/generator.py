@@ -15,17 +15,18 @@ import hashlib
 import logging
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import requests
-
-from .backends import post_json
+from .backends import http_session, post_json
 from .corpus_io import read_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
                       indication_mentions, label_sentence)
 from .model import (CONDITIONS, Condition, LabelValue, Report, normalize_text,
                     segment_sentences)
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -332,7 +333,7 @@ def generate_remote(request: GenerationRequest, endpoint: str,
     Pass one ``session`` for a whole run to reuse its connections.
     """
     if session is None:
-        with requests.Session() as own:
+        with http_session() as own:
             return generate_remote(request, endpoint, auth_token, timeout, own)
     prompt = build_generation_prompt(request)
     started = time.perf_counter()

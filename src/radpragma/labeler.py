@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Union
@@ -26,27 +26,124 @@ from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Sentence,
                     normalize_text, segment_sentences)
 
 _WORD = re.compile(r"[a-z0-9]+")
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+_NO_FINDING = CONDITIONS.index(Condition.NO_FINDING)
 
-# Aggregation precedence across sentences (report level).
-_PRECEDENCE = {
-    LabelValue.NOT_MENTIONED: 0,
-    LabelValue.NEGATIVE: 1,
-    LabelValue.UNCERTAIN: 2,
-    LabelValue.POSITIVE: 3,
-}
+_POS, _UNC, _NEG, _NM = (LabelValue.POSITIVE, LabelValue.UNCERTAIN,
+                         LabelValue.NEGATIVE, LabelValue.NOT_MENTIONED)
 
 
-def _phrase_regex(phrases: Iterable[str]) -> re.Pattern:
+def _overlap_from(a: str, b: str) -> bool:
+    """Whether some text has a match of entry ``b`` starting inside a match
+    of entry ``a``. An entry with a word character only matches between
+    non-word characters; a punctuation cue such as "?" matches anywhere."""
+    a_bounded, b_bounded = _WORD.search(a), _WORD.search(b)
+    shift = a.find(b[0])
+    while shift >= 0:
+        size = min(len(a) - shift, len(b))
+        if a[shift:shift + size] == b[:size]:
+            # The shortest text holding both matches, and the positions
+            # next to them that must not be word characters.
+            joined = a + b[size:]
+            edges = ([len(a)] if a_bounded else []) + (
+                [shift - 1, shift + len(b)] if b_bounded else [])
+            if not any(0 <= i < len(joined) and joined[i] in _WORD_CHARS
+                       for i in edges):
+                return True
+        shift = a.find(b[0], shift + 1)
+    return False
+
+
+def _disjoint_groups(items: list[tuple[str, ...]]) -> list[list[int]]:
+    """Indices of ``items`` in groups where no match of an entry of one item
+    can overlap a match of an entry of another, in any text.
+
+    One alternation over a group finds exactly the matches each item's own
+    regex would, because at any position at most one item can match and no
+    match of one item can hide a match of another. Items that can overlap
+    (``no`` and ``no evidence of``; ``consolidative opacity`` and
+    ``opacity``) go to different groups, since one scan keeps only one of
+    two overlapping matches.
+    """
+    # Entries that start and end with a word character can only overlap
+    # where they share a whole word token, so items whose tokens differ
+    # need no closer look.
+    tokens = [frozenset(_WORD.findall(" ".join(item)))
+              if all(e[0] in _WORD_CHARS and e[-1] in _WORD_CHARS
+                     for e in item) else None
+              for item in items]
+
+    def clash(i: int, j: int) -> bool:
+        if (tokens[i] is not None and tokens[j] is not None
+                and tokens[i].isdisjoint(tokens[j])):
+            return False
+        return any(_overlap_from(a, b) or _overlap_from(b, a)
+                   for a in items[i] for b in items[j])
+
+    groups: list[list[int]] = []
+    for i in range(len(items)):
+        for group in groups:
+            if not any(clash(i, j) for j in group):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+def _alternation(phrases: Iterable[str]) -> str:
     # Longest alternative first so multi-word phrases win at a shared start.
-    parts = sorted((re.escape(p) for p in phrases), key=len, reverse=True)
-    return re.compile(r"(?<![a-z0-9])(?:" + "|".join(parts) + r")(?![a-z0-9])")
+    return "|".join(sorted((re.escape(p) for p in phrases), key=len,
+                           reverse=True))
 
 
-def _cue_regex(cue: str) -> re.Pattern:
-    if not _WORD.search(cue):
-        # Punctuation cue such as "?": match the literal anywhere.
-        return re.compile(re.escape(cue))
-    return re.compile(r"(?<![a-z0-9])" + re.escape(cue) + r"(?![a-z0-9])")
+def _phrase_scans(phrases: tuple[tuple[Condition, tuple[str, ...]], ...],
+                  ) -> tuple[tuple[re.Pattern, tuple[int, ...]], ...]:
+    """(scan, condition index of each capture group) per disjoint group of
+    conditions; the scan gives each condition the matches of
+    ``(?<![a-z0-9])(?:its phrases)(?![a-z0-9])``. (A phrase without a word
+    character is grouped as if it matched anywhere, which only splits
+    groups further.)"""
+    items = [tuple(ps) for _, ps in phrases]
+    scans = []
+    for group in _disjoint_groups(items):
+        body = "|".join("(" + _alternation(items[i]) + ")" for i in group)
+        scans.append((
+            re.compile(r"(?<![a-z0-9])(?:" + body + r")(?![a-z0-9])"),
+            tuple(CONDITIONS.index(phrases[i][0]) for i in group)))
+    return tuple(scans)
+
+
+def _cue_scans(cues: Iterable[str]) -> tuple[re.Pattern, ...]:
+    """Scans that together find every match of every cue: a word cue
+    between non-word characters, a punctuation cue anywhere."""
+    cues = list(dict.fromkeys(cues))
+    scans = []
+    for group in _disjoint_groups([(cue,) for cue in cues]):
+        members = [cues[i] for i in group]
+        words = [cue for cue in members if _WORD.search(cue)]
+        parts = [re.escape(cue) for cue in members if not _WORD.search(cue)]
+        if words:
+            parts.insert(0, r"(?<![a-z0-9])(?:" + _alternation(words)
+                         + r")(?![a-z0-9])")
+        scans.append(re.compile("|".join(parts)))
+    return tuple(scans)
+
+
+def _check_entry(entry, what: str) -> None:
+    # The labeler matches entries against normalized, lowercased text, so
+    # any other entry would never match, or (if empty) match everywhere.
+    if (not isinstance(entry, str) or not entry
+            or entry != normalize_text(entry).lower()):
+        raise InputError(f"{what} must be a non-empty, lowercase, "
+                         f"whitespace-normalized string, got {entry!r}")
+
+
+def _list(value, name: str) -> tuple:
+    # A string would otherwise become one entry per character.
+    if not isinstance(value, list):
+        raise InputError(f"lexicon {name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -61,8 +158,15 @@ class Lexicon:
     _compiled: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.scope_window < 1:
+        window = self.scope_window
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise InputError(
+                f"lexicon scope_window must be an integer, got {window!r}")
+        if window < 1:
             raise InputError("scope window must be >= 1")
+        for name in ("negation_cues", "uncertainty_cues"):
+            for cue in getattr(self, name):
+                _check_entry(cue, f"lexicon {name} entry")
         phrase_map = dict(self.phrases)
         for condition in CONDITIONS:
             entries = phrase_map.get(condition, ())
@@ -70,13 +174,12 @@ class Lexicon:
                 raise InputError(
                     f"lexicon has no phrases for {condition.value!r}")
             for phrase in entries:
-                if phrase != phrase.lower():
-                    raise InputError(
-                        f"lexicon phrase not lowercase: {phrase!r}")
+                _check_entry(phrase,
+                             f"lexicon phrase for {condition.value!r}")
         compiled = {
-            "phrases": {c: _phrase_regex(ps) for c, ps in self.phrases},
-            "negation": [_cue_regex(c) for c in self.negation_cues],
-            "uncertainty": [_cue_regex(c) for c in self.uncertainty_cues],
+            "phrases": _phrase_scans(tuple(phrase_map.items())),
+            "negation": _cue_scans(self.negation_cues),
+            "uncertainty": _cue_scans(self.uncertainty_cues),
         }
         object.__setattr__(self, "_compiled", compiled)
 
@@ -85,13 +188,14 @@ class Lexicon:
         try:
             conditions = obj["conditions"]
             phrases = tuple(
-                (Condition.from_name(name), tuple(conditions[name]))
+                (Condition.from_name(name), _list(conditions[name], name))
                 for name in conditions)
             return cls(
                 version=str(obj["version"]),
-                scope_window=int(obj["scope_window"]),
-                negation_cues=tuple(obj["negation_cues"]),
-                uncertainty_cues=tuple(obj["uncertainty_cues"]),
+                scope_window=obj["scope_window"],
+                negation_cues=_list(obj["negation_cues"], "negation_cues"),
+                uncertainty_cues=_list(obj["uncertainty_cues"],
+                                       "uncertainty_cues"),
                 phrases=phrases,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -108,7 +212,11 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str) -> "Lexicon":
-        return cls.from_dict(read_json(path, "lexicon"))
+        obj = read_json(path, "lexicon")
+        try:
+            return cls.from_dict(obj)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
     def save(self, path: str) -> None:
         write_text_atomic(
@@ -128,11 +236,8 @@ def default_lexicon() -> Lexicon:
     return _DEFAULT
 
 
-def _cue_spans(low: str, regexes) -> list[tuple[int, int]]:
-    spans = []
-    for regex in regexes:
-        spans.extend(m.span() for m in regex.finditer(low))
-    return spans
+def _cue_ends(low: str, scans) -> list[int]:
+    return sorted(m.end() for scan in scans for m in scan.finditer(low))
 
 
 def label_sentence(sentence: Union[str, Sentence],
@@ -141,47 +246,38 @@ def label_sentence(sentence: Union[str, Sentence],
     lexicon = lexicon or default_lexicon()
     text = sentence.text if isinstance(sentence, Sentence) else sentence
     low = normalize_text(text).lower()
-    if not low:
-        return LabelVector.all_not_mentioned()
-
-    word_starts = []
-    word_ends = []
-    for match in _WORD.finditer(low):
-        word_starts.append(match.start())
-        word_ends.append(match.end())
-
     compiled = lexicon._compiled
-    negation_spans = _cue_spans(low, compiled["negation"])
-    uncertainty_spans = _cue_spans(low, compiled["uncertainty"])
+    starts: dict[int, list[int]] = {}
+    for scan, owners in compiled["phrases"]:
+        for match in scan.finditer(low):
+            starts.setdefault(owners[match.lastindex - 1], []).append(
+                match.start())
+    values = [_NM] * len(CONDITIONS)
+    if starts.pop(_NO_FINDING, None):
+        values[_NO_FINDING] = _POS
+    if not starts:
+        return LabelVector(tuple(values))
+
+    uncertainty_ends = _cue_ends(low, compiled["uncertainty"])
+    negation_ends = _cue_ends(low, compiled["negation"])
     window = lexicon.scope_window
 
-    def in_scope(cue_spans, phrase_start: int) -> bool:
-        for cue_start, cue_end in cue_spans:
-            if cue_end > phrase_start:
-                continue
-            # Word tokens lying fully between the cue and the phrase.
-            first = bisect_left(word_starts, cue_end)
-            last = bisect_right(word_ends, phrase_start)
-            between = max(0, last - first)
-            if between < window:
-                return True
-        return False
+    def in_scope(cue_ends, phrase_start: int) -> bool:
+        # The last cue ending at or before the phrase has the fewest word
+        # tokens between it and the phrase. No token straddles either end:
+        # a cue ends, and a phrase starts, next to a non-word character.
+        i = bisect_right(cue_ends, phrase_start)
+        return i > 0 and len(
+            _WORD.findall(low, cue_ends[i - 1], phrase_start)) < window
 
-    values = {}
-    for condition, regex in compiled["phrases"].items():
-        matches = list(regex.finditer(low))
-        if not matches:
-            continue
-        if condition.is_no_finding:
-            values[condition] = LabelValue.POSITIVE
-            continue
-        if any(in_scope(uncertainty_spans, m.start()) for m in matches):
-            values[condition] = LabelValue.UNCERTAIN
-        elif any(in_scope(negation_spans, m.start()) for m in matches):
-            values[condition] = LabelValue.NEGATIVE
+    for index, found in starts.items():
+        if any(in_scope(uncertainty_ends, start) for start in found):
+            values[index] = _UNC
+        elif any(in_scope(negation_ends, start) for start in found):
+            values[index] = _NEG
         else:
-            values[condition] = LabelValue.POSITIVE
-    return LabelVector.from_mapping(values)
+            values[index] = _POS
+    return LabelVector(tuple(values))
 
 
 def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:
@@ -191,22 +287,16 @@ def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:
     not-mentioned). No Finding is positive only if one of its phrases matched
     in some sentence and no other condition ended up positive or uncertain.
     """
-    best = {c: LabelValue.NOT_MENTIONED for c in CONDITIONS}
-    nf_matched = False
-    for vector in vectors:
-        for condition, value in zip(CONDITIONS, vector.values):
-            if condition.is_no_finding:
-                nf_matched = nf_matched or value is LabelValue.POSITIVE
-                continue
-            if _PRECEDENCE[value] > _PRECEDENCE[best[condition]]:
-                best[condition] = value
-    others_asserted = any(
-        best[c] in (LabelValue.POSITIVE, LabelValue.UNCERTAIN)
-        for c in CONDITIONS if not c.is_no_finding)
-    best[Condition.NO_FINDING] = (
-        LabelValue.POSITIVE if nf_matched and not others_asserted
-        else LabelValue.NOT_MENTIONED)
-    return LabelVector.from_mapping(best)
+    columns = list(zip(*(vector.values for vector in vectors)))
+    if not columns:
+        return LabelVector.all_not_mentioned()
+    # ``in`` on a tuple compares by identity first, so no Enum is hashed.
+    best = [_POS if _POS in column else _UNC if _UNC in column
+            else _NEG if _NEG in column else _NM for column in columns]
+    others = best[:_NO_FINDING] + best[_NO_FINDING + 1:]
+    if _POS in others or _UNC in others:
+        best[_NO_FINDING] = _NM
+    return LabelVector(tuple(best))
 
 
 def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:

@@ -117,6 +117,43 @@ class TestInputErrors:
         _single_error(capsys, "config.json", "'f1_average'", "'foo'")
         assert not (tmp_path / "metrics.json").exists()
 
+    def _clean_remote(self, tmp_path, *extra):
+        return main(["clean", "--in", CORPUS, "--backend", "remote",
+                     "--clean-endpoint", "http://127.0.0.1:9/",
+                     "--out", str(tmp_path / "cleaned.jsonl"), *extra])
+
+    @pytest.mark.parametrize("name, raw", [
+        ("TIMEOUT", "0"), ("TIMEOUT", "-1"), ("TIMEOUT", "inf"),
+        ("TIMEOUT", "nan"), ("RETRIES", "-1"), ("JOBS", "0")])
+    def test_env_value_out_of_range_exits_1(self, tmp_path, capsys,
+                                            monkeypatch, name, raw):
+        monkeypatch.setenv("RADPRAGMA_" + name, raw)
+        assert self._clean_remote(tmp_path) == 1
+        _single_error(capsys, "RADPRAGMA_" + name, repr(raw))
+        assert not (tmp_path / "cleaned.jsonl").exists()
+
+    @pytest.mark.parametrize("values", [{"timeout": 0}, {"timeout": -0.5},
+                                        {"retries": -1}, {"jobs": 0}])
+    def test_config_value_out_of_range_exits_1(self, tmp_path, capsys,
+                                               values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert self._clean_remote(tmp_path, "--config", str(config)) == 1
+        _single_error(capsys, "config.json", *map(repr, values))
+
+    def test_jobs_flag_out_of_range_exits_1(self, tmp_path, capsys):
+        assert self._clean_remote(tmp_path, "--jobs", "0") == 1
+        _single_error(capsys, "--jobs", ">= 1")
+
+    def test_generate_remote_zero_timeout_exits_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("RADPRAGMA_TIMEOUT", "0")
+        code = main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", "http://127.0.0.1:9/g",
+                     "--out", str(tmp_path / "generated.jsonl")])
+        assert code == 1
+        _single_error(capsys, "RADPRAGMA_TIMEOUT", "> 0")
+
     def test_allowed_f1_average_from_env_is_used(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.setenv("RADPRAGMA_F1_AVERAGE", "micro")

@@ -1,17 +1,28 @@
+import json
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labeler_oracle import OracleLabeler
+from labeler_oracle import aggregate_labels as oracle_aggregate
+from radpragma.cli import main
+from radpragma.corpus_io import read_reports_jsonl
 from radpragma.errors import InputError
 from radpragma.labeler import (Lexicon, aggregate_labels, default_lexicon,
                                indication_mentions, label_report,
                                label_sentence)
-from radpragma.model import CONDITIONS, Condition, LabelValue, LabelVector
+from radpragma.model import (CONDITIONS, Condition, LabelValue, LabelVector,
+                             segment_sentences)
 
 POS = LabelValue.POSITIVE
 NEG = LabelValue.NEGATIVE
 UNC = LabelValue.UNCERTAIN
 NM = LabelValue.NOT_MENTIONED
+
+CORPUS = os.path.join(os.path.dirname(__file__), "fixtures", "corpus.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +211,171 @@ class TestLexicon:
         with pytest.raises(InputError, match="Edema"):
             Lexicon(version="x", scope_window=6, negation_cues=("no",),
                     uncertainty_cues=("possible",), phrases=phrases)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(negation_cues=["No", "not"]), "negation_cues"),
+        (lambda d: d.update(uncertainty_cues=["possible", ""]),
+         "uncertainty_cues"),
+        (lambda d: d["conditions"]["Edema"].append(""), "Edema"),
+        (lambda d: d.update(negation_cues="no"), "negation_cues"),
+        (lambda d: d["conditions"].update(Edema="edema"), "Edema"),
+        (lambda d: d.update(scope_window=True), "scope_window"),
+        (lambda d: d.update(scope_window=6.5), "scope_window"),
+    ])
+    def test_from_dict_rejects_entries_that_cannot_work(self, lexicon, edit,
+                                                        field):
+        # A capitalised cue never fires on the lowercased text, an empty
+        # entry matches everywhere, a string is not a list of entries, and
+        # True is not a window size.
+        obj = lexicon.to_dict()
+        edit(obj)
+        with pytest.raises(InputError, match=field):
+            Lexicon.from_dict(obj)
+
+    def test_cli_rejects_capitalised_cue(self, tmp_path, capsys, lexicon):
+        obj = lexicon.to_dict()
+        obj["negation_cues"] = [cue.capitalize()
+                                for cue in obj["negation_cues"]]
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "labels.csv"
+        code = main(["label", "--in", CORPUS, "--lexicon", str(path),
+                     "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(path) in lines[0] and "negation_cues" in lines[0]
+        assert not out.exists()
+
+
+def _variant(lexicon, window, negation=None, uncertainty=None,
+             phrases=None):
+    obj = lexicon.to_dict()
+    obj["scope_window"] = window
+    if negation is not None:
+        obj["negation_cues"] = negation
+    if uncertainty is not None:
+        obj["uncertainty_cues"] = uncertainty
+    for name, extra in (phrases or {}).items():
+        obj["conditions"][name] += extra
+    return Lexicon.from_dict(obj)
+
+
+def _lexicons():
+    base = default_lexicon()
+    # Cues that overlap another cue of their polarity, few enough that
+    # random sentences often hit the overlaps; "no -" and "- free" share
+    # no word but overlap on "-".
+    negation = ["no -", "- free", "no", "no evidence of", "rule out",
+                "out of", "of no"]
+    uncertainty = ["?", "??", "may", "may be", "be"]
+    return [
+        base,
+        _variant(base, 1),
+        _variant(base, 1, negation, uncertainty),
+        _variant(base, 2, negation, uncertainty),
+        # Phrases that overlap a phrase of another condition.
+        _variant(base, 3, phrases={"Lung Opacity": ["pulmonary"],
+                                   "Atelectasis": ["edema atelectasis"],
+                                   "Pneumonia": ["process"]}),
+    ]
+
+
+LEXICONS = _lexicons()
+_ORACLES = [OracleLabeler(lexicon) for lexicon in LEXICONS]
+_PHRASES = ["edema", "pneumonia", "effusion", "opacity", "atelectasis",
+            "consolidative opacity", "pulmonary edema", "pulmonary",
+            "edema atelectasis", "process", "infectious process",
+            "no acute process", "pneumothorax", "chf"]
+_FILLERS = ["the", "left", "is", "and", "evidence", "out", "rule", "of",
+            "x1", "2", "___", "-", "?", ","]
+_SEPARATORS = [None, None, None, " ", " ", "  ", "", "\t", "?", ", ",
+               ". ", "-", "/"]
+
+
+@st.composite
+def _sentence(draw, cues):
+    """Cues, phrases and fillers joined by separators. Separator None lets
+    the next entry share its first word with the end of the text, so that
+    matches overlap ("rule out" then "out of" gives "rule out of")."""
+    vocabulary = sorted(set(cues + _PHRASES + _FILLERS))
+    entries = st.one_of(st.sampled_from(cues), st.sampled_from(cues),
+                        st.sampled_from(_PHRASES), st.sampled_from(_FILLERS))
+    text = ""
+    for _ in range(draw(st.integers(0, 10))):
+        sep = draw(st.sampled_from(_SEPARATORS))
+        last = text.rpartition(" ")[2].lower()
+        following = [e for e in vocabulary
+                     if e.startswith(last + " ")] if last else []
+        if sep is None and following:
+            text += draw(st.sampled_from(following))[len(last):]
+            continue
+        entry = draw(entries)
+        if draw(st.booleans()):
+            entry = entry.capitalize()
+        text += (" " if sep is None else sep) + entry
+    return text
+
+
+def _sentences(lexicon):
+    cues = sorted(set(lexicon.negation_cues + lexicon.uncertainty_cues))
+    return st.lists(_sentence(cues), min_size=1, max_size=4)
+
+
+def _as_strings(vector):
+    return tuple(value.value for value in vector.values)
+
+
+class TestAgainstOracle:
+    """The merged cue and phrase scans label exactly as one regex per cue
+    and per condition did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.integers(0, len(LEXICONS) - 1))
+    def test_labels_match_oracle(self, data, which):
+        lexicon, oracle = LEXICONS[which], _ORACLES[which]
+        sentences = data.draw(_sentences(lexicon))
+        vectors = []
+        expected = []
+        for sentence in sentences:
+            vectors.append(label_sentence(sentence, lexicon))
+            expected.append(oracle.label_sentence(sentence))
+            assert _as_strings(vectors[-1]) == expected[-1], sentence
+        assert _as_strings(aggregate_labels(vectors)) == \
+            oracle_aggregate(expected)
+
+    def test_fixture_sentences_match_oracle(self, lexicon):
+        oracle = OracleLabeler(lexicon)
+        for report in read_reports_jsonl(CORPUS):
+            for text in (report.impression, report.indication):
+                for sentence in segment_sentences(text):
+                    assert _as_strings(label_sentence(sentence, lexicon)) \
+                        == oracle.label_sentence(sentence.text)
+
+    @pytest.mark.parametrize("which", range(len(LEXICONS)))
+    def test_every_entry_and_overlapping_pair_matches_oracle(self, which):
+        # Each cue or phrase, and each way the end of one can be the start
+        # of another, followed by a phrase at distances around the window.
+        lexicon, oracle = LEXICONS[which], _ORACLES[which]
+        entries = sorted(set(lexicon.negation_cues + lexicon.uncertainty_cues
+                             + tuple(_PHRASES)))
+        joined = entries + [a + b[size:] for a in entries for b in entries
+                            for size in range(1, min(len(a), len(b)))
+                            if a.endswith(b[:size])]
+        for text in joined:
+            for tail in (" edema", "edema", " x edema", " x y pneumonia"):
+                sentence = "the " + text + tail
+                assert _as_strings(label_sentence(sentence, lexicon)) == \
+                    oracle.label_sentence(sentence), sentence
+
+    def test_overlapping_cues_keep_every_match(self, lexicon):
+        # One scan over "rule out|out of" finds "rule out" and skips the
+        # "out of" that ends right before the phrase.
+        overlapping = _variant(lexicon, 1, negation=["rule out", "out of"])
+        vector = label_sentence("rule out of edema", overlapping)
+        assert vector.get(Condition.EDEMA) is NEG
+
+    def test_overlapping_phrases_label_both_conditions(self, lexicon):
+        vector = label_sentence("consolidative opacity", lexicon)
+        assert mentioned(vector) == {Condition.CONSOLIDATION: POS,
+                                     Condition.LUNG_OPACITY: POS}
