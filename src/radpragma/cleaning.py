@@ -17,8 +17,8 @@ from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
 from .labeler import Lexicon, default_lexicon, label_sentence
-from .model import (LabelVector, Report, any_stem_match, normalize_text,
-                    segment_sentences, tokenize)
+from .model import (LabelVector, Report, normalize_text, segment_sentences,
+                    stem_pattern)
 
 #: Sentinel marking a sentence deleted by a cleaning rule.
 REMOVED = "REMOVED"
@@ -41,7 +41,8 @@ class CleaningRule:
                 f"rule {self.rule_id} prompt lacks the {REMOVED} contract")
 
     def triggered_by(self, sentence: str) -> bool:
-        return any_stem_match(tokenize(sentence), self.trigger_cues)
+        return stem_pattern(self.trigger_cues).search(sentence.lower()) \
+            is not None
 
 
 _PROMPT_1 = (
@@ -135,6 +136,12 @@ def apply_rule(sentence: str, rule: CleaningRule,
     sentence = normalize_text(sentence)
     if sentence == REMOVED or not sentence:
         return sentence
+    return _rewrite(sentence, rule, backend)
+
+
+def _rewrite(sentence: str, rule: CleaningRule,
+             backend: RewriteBackend) -> str:
+    """``apply_rule`` on a normalized sentence, neither empty nor REMOVED."""
     if not rule.triggered_by(sentence):
         return sentence
     try:
@@ -167,9 +174,12 @@ def clean_sentence_audited(sentence: str,
                            rules: Sequence[CleaningRule] = DEFAULT_RULES,
                            lexicon: Optional[Lexicon] = None,
                            ) -> tuple[str, list[RuleOutcome]]:
-    """Fold the rules over a sentence under the label guard; keep an audit."""
+    """Fold the rules over a sentence under the label guard; keep an audit.
+
+    ``rules`` must be ordered by unique id; ``clean_sentence`` and
+    ``clean_report_audited`` check that once per call.
+    """
     lexicon = lexicon or default_lexicon()
-    rules = _check_rule_order(rules)
     current = normalize_text(sentence)
     outcomes: list[RuleOutcome] = []
     if current == REMOVED or not current:
@@ -177,7 +187,7 @@ def clean_sentence_audited(sentence: str,
     current_labels = label_sentence(current, lexicon)
     no_mentions = current_labels == LabelVector.all_not_mentioned()
     for rule in rules:
-        candidate = apply_rule(current, rule, backend)
+        candidate = _rewrite(current, rule, backend)
         if candidate == current:
             outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
                                         "no-change"))
@@ -203,7 +213,8 @@ def clean_sentence_audited(sentence: str,
 def clean_sentence(sentence: str, backend: RewriteBackend,
                    rules: Sequence[CleaningRule] = DEFAULT_RULES,
                    lexicon: Optional[Lexicon] = None) -> str:
-    final, _ = clean_sentence_audited(sentence, backend, rules, lexicon)
+    final, _ = clean_sentence_audited(sentence, backend,
+                                      _check_rule_order(rules), lexicon)
     return final
 
 
@@ -238,6 +249,7 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
     guarantees the cleaned impression relabels identically to the original.
     """
     lexicon = lexicon or default_lexicon()
+    rules = _check_rule_order(rules)
     audits: list[SentenceAudit] = []
     kept: list[str] = []
     for sentence in segment_sentences(report.impression):

@@ -151,8 +151,12 @@ def _write_jsonl(path: str, records) -> None:
 def _write_run_config(primary_out: Optional[str], command: str,
                       config: Config, inputs: dict) -> None:
     if primary_out:
+        # Only whether a token was set: the file is world-readable under the
+        # usual umask, and every stage writes one.
+        recorded = asdict(config) | {"auth_token":
+                                     config.auth_token is not None}
         corpus_io.write_json(primary_out + ".run.json",
-                             {"command": command, "config": asdict(config),
+                             {"command": command, "config": recorded,
                               "inputs": inputs})
 
 

@@ -24,7 +24,7 @@ from .corpus_io import read_json
 from .errors import InputError
 from .labeler import Lexicon, default_lexicon, label_report
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Report,
-                    any_stem_match, normalize_text, tokenize)
+                    normalize_text, stem_pattern, tokenize)
 
 #: The allowed ``average`` values of the F1 scores.
 F1_AVERAGES: tuple[str, ...] = ("macro", "micro")
@@ -82,6 +82,13 @@ def _aligned_ids(pred: Mapping[str, LabelVector],
     return sorted(pred)
 
 
+def _columns(labels: Mapping[str, LabelVector], ids: Sequence[str],
+             ) -> list[tuple[LabelValue, ...]]:
+    """The labels of ``ids``, one tuple per condition in canonical order."""
+    return (list(zip(*(labels[i].values for i in ids)))
+            or [()] * len(CONDITIONS))
+
+
 def _label_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
               conditions: Sequence[Condition], target: LabelValue,
               average: str) -> tuple[float, dict[Condition, ConditionF1]]:
@@ -91,19 +98,16 @@ def _label_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
     if average not in F1_AVERAGES:
         raise ValueError(f"unknown F1 average: {average!r}")
     ids = _aligned_ids(pred, ref)
+    pred_columns, ref_columns = _columns(pred, ids), _columns(ref, ids)
     per_condition = {}
     for condition in conditions:
-        tp = fp = fn = 0
-        for study_id in ids:
-            hit = pred[study_id].get(condition) is target
-            truth = ref[study_id].get(condition) is target
-            if hit and truth:
-                tp += 1
-            elif hit:
-                fp += 1
-            elif truth:
-                fn += 1
-        per_condition[condition] = ConditionF1(tp, fp, fn)
+        column = CONDITIONS.index(condition)
+        hits, truths = pred_columns[column], ref_columns[column]
+        # ``is`` and ``tuple.count`` compare by identity, so no Enum is hashed.
+        tp = sum(hit is target and truth is target
+                 for hit, truth in zip(hits, truths))
+        per_condition[condition] = ConditionF1(
+            tp, hits.count(target) - tp, truths.count(target) - tp)
     if average == "macro":
         score = (sum(s.f1 for s in per_condition.values()) / len(per_condition)
                  if per_condition else 0.0)
@@ -200,8 +204,11 @@ class KeywordCatalog:
             if not stems:
                 raise InputError(f"keyword category {name!r} is empty")
             for stem in stems:
-                if stem != stem.lower():
-                    raise InputError(f"keyword stem not lowercase: {stem!r}")
+                # A stem must be one whole token, or it could never match.
+                if not (isinstance(stem, str) and tokenize(stem) == [stem]):
+                    raise InputError(
+                        f"keyword category {name!r}: stem {stem!r} is not "
+                        f"lowercase letters and digits ([a-z0-9]+)")
 
     @property
     def category_names(self) -> tuple[str, ...]:
@@ -209,18 +216,27 @@ class KeywordCatalog:
 
     def flags(self, text: str) -> frozenset[str]:
         """Categories whose stems match any token of ``text``."""
-        tokens = tokenize(text)
+        lowered = text.lower()
         return frozenset(name for name, stems in self.categories
-                         if any_stem_match(tokens, stems))
+                         if stem_pattern(stems).search(lowered))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KeywordCatalog":
         try:
-            return cls(version=str(obj["version"]),
-                       categories=tuple((name, tuple(stems)) for name, stems
-                                        in obj["categories"].items()))
+            version, categories = str(obj["version"]), obj["categories"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"invalid keyword catalog: {exc}") from None
+        if not isinstance(categories, dict):
+            raise InputError(f"keyword categories must be an object, "
+                             f"got {categories!r}")
+        for name, stems in categories.items():
+            # A string would otherwise become one stem per character.
+            if not isinstance(stems, list):
+                raise InputError(f"keyword category {name!r} must be a "
+                                 f"list, got {stems!r}")
+        return cls(version=version,
+                   categories=tuple((name, tuple(stems))
+                                    for name, stems in categories.items()))
 
     def to_dict(self) -> dict:
         return {"version": self.version,
@@ -229,7 +245,11 @@ class KeywordCatalog:
 
     @classmethod
     def load(cls, path: str) -> "KeywordCatalog":
-        return cls.from_dict(read_json(path, "keyword"))
+        obj = read_json(path, "keyword")
+        try:
+            return cls.from_dict(obj)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 _DEFAULT_CATALOG: Optional[KeywordCatalog] = None
@@ -373,10 +393,12 @@ def evaluate_generation(generated: Sequence[Report],
     clean_bleu = bleu2(gen_texts, [clean_by_id[i].impression for i in ids])
     rate, by_category = hallucination_rate(gen_texts, catalog)
 
+    ref_columns = _columns(ref_labels, ids)
     support = tuple(
-        (c, (sum(ref_labels[i].get(c) is LabelValue.POSITIVE for i in ids),
-             sum(ref_labels[i].get(c) is LabelValue.NEGATIVE for i in ids)))
-        for c in SCORABLE_CONDITIONS)
+        (c, (column.count(LabelValue.POSITIVE),
+             column.count(LabelValue.NEGATIVE)))
+        for c, column in zip(CONDITIONS, ref_columns)
+        if not c.is_no_finding)
     return MetricsReport(
         pos_f1=pos_score, pos_f1_5=pos5_score,
         neg_f1=neg_score, neg_f1_5=neg5_score,

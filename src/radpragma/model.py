@@ -6,10 +6,11 @@ types defined here. All types are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 
 class Condition(Enum):
@@ -109,11 +110,6 @@ class LabelVector:
     def all_not_mentioned(cls) -> "LabelVector":
         return _ALL_NOT_MENTIONED
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Condition, LabelValue]) -> "LabelVector":
-        return cls(tuple(mapping.get(c, LabelValue.NOT_MENTIONED)
-                         for c in CONDITIONS))
-
     def get(self, condition: Condition) -> LabelValue:
         return self.values[_CONDITION_INDEX[condition]]
 
@@ -209,17 +205,21 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def matches_stem(token: str, stem: str) -> bool:
-    """Prefix match for stems of length >= 4, exact match for shorter ones.
+@functools.lru_cache(maxsize=64)
+def stem_pattern(stems: tuple[str, ...]) -> re.Pattern:
+    """One regex that finds, in lowercased text, a token any stem matches.
 
-    The exact-match rule keeps two-letter stems like "ap"/"pa" from firing
-    inside ordinary words.
+    A stem of 4+ characters matches a token it prefixes, a shorter one only
+    an equal token, which keeps two-letter stems like "ap"/"pa" from firing
+    inside ordinary words. Tokens are as ``tokenize`` splits them. A stem
+    that is not ``[a-z0-9]+`` can never equal or prefix such a token, so it
+    is left out; with no stem left the pattern never matches.
     """
-    if len(stem) <= 3:
-        return token == stem
-    return token.startswith(stem)
-
-
-def any_stem_match(tokens: Iterable[str], stems: Iterable[str]) -> bool:
-    stems = tuple(stems)
-    return any(matches_stem(token, stem) for token in tokens for stem in stems)
+    valid = sorted({stem for stem in stems if _TOKEN.fullmatch(stem)})
+    alternatives = [stem for stem in valid if len(stem) >= 4]
+    short = [stem for stem in valid if len(stem) <= 3]
+    if short:
+        alternatives.append(f"(?:{'|'.join(short)})(?![a-z0-9])")
+    if not alternatives:
+        return re.compile(r"(?!)")
+    return re.compile(f"(?<![a-z0-9])(?:{'|'.join(alternatives)})")

@@ -90,6 +90,23 @@ def naive_stem_hit(token, stem):
     return token[:len(stem)] == stem
 
 
+_TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def naive_stem_match(text, stems):
+    """Whether a stem hits a token of ``text``: a run of a-z and 0-9 in the
+    lowercased text, found by a character loop."""
+    tokens = []
+    word = []
+    for ch in text.lower() + " ":
+        if ch in _TOKEN_CHARS:
+            word.append(ch)
+        elif word:
+            tokens.append("".join(word))
+            word = []
+    return any(naive_stem_hit(t, s) for t in tokens for s in stems)
+
+
 def naive_hallucination(texts, categories):
     """categories: {name: [stems]}. Returns (rate, per-category rates)."""
     flagged_any = 0

@@ -10,9 +10,17 @@ import random
 
 from radpragma.cleaning import REMOVED
 from radpragma.backends import PatternBackend
-from radpragma.model import CONDITIONS, Condition, Report
+from radpragma.model import (CONDITIONS, Condition, LabelValue, LabelVector,
+                             Report)
 
 SCORABLE = tuple(c for c in CONDITIONS if c is not Condition.NO_FINDING)
+
+
+def label_vector(mapping):
+    """A LabelVector from {Condition: LabelValue}; the rest not mentioned."""
+    return LabelVector(tuple(mapping.get(c, LabelValue.NOT_MENTIONED)
+                             for c in CONDITIONS))
+
 
 POSITIVE_SENTENCE = {
     Condition.ATELECTASIS: "There is atelectasis.",
@@ -200,8 +208,6 @@ def build_generator_fixture(count=500, seed=20230812):
 
 def build_label_corpus(count=500, seed=20230813):
     """Reports with randomized planted labels and indication mention sets."""
-    from radpragma.model import LabelValue, LabelVector
-
     rng = random.Random(seed)
     values = [LabelValue.POSITIVE, LabelValue.NEGATIVE, LabelValue.UNCERTAIN,
               LabelValue.NOT_MENTIONED]
@@ -217,7 +223,7 @@ def build_label_corpus(count=500, seed=20230813):
         mapping[Condition.NO_FINDING] = (
             LabelValue.POSITIVE if rng.random() < 0.3
             else LabelValue.NOT_MENTIONED)
-        labels[study_id] = LabelVector.from_mapping(mapping)
+        labels[study_id] = label_vector(mapping)
         mention_sets[study_id] = frozenset(
             rng.sample(SCORABLE, rng.randrange(0, 4)))
         reports.append(Report(study_id=study_id, impression="unused"))

@@ -17,7 +17,7 @@ from oracles import naive_hallucination, naive_summary
 from pipeline import PRIMARY_OUTPUTS, run_pipeline
 from synth import (NEGATIVE_SENTENCE, POSITIVE_SENTENCE, SCORABLE,
                    AdversarialBackend, build_generator_fixture,
-                   build_label_corpus, guard_fixture_sentences)
+                   build_label_corpus, guard_fixture_sentences, label_vector)
 
 from radpragma.backends import PatternBackend
 from radpragma.cleaning import (DEFAULT_RULES, REMOVED, apply_rule,
@@ -162,7 +162,7 @@ def test_acceptance_4_conditional_rates_and_recount():
     for i in range(14):
         rows[f"d{i}"] = ({}, set())
     reports = [Report(study_id=sid, impression="x") for sid in rows]
-    labels = {sid: LabelVector.from_mapping(mapping)
+    labels = {sid: label_vector(mapping)
               for sid, (mapping, _) in rows.items()}
     mentions = {sid: frozenset(ms) for sid, (_, ms) in rows.items()}
     p_in, p_out, table = conditional_negative_rates(

@@ -172,6 +172,15 @@ class TestLabelGuard:
 
 
 class TestCleanReport:
+    @pytest.mark.parametrize("ids", [(2, 1), (1, 3, 3)])
+    def test_misordered_or_duplicate_rules_rejected(self, lexicon, pattern,
+                                                    ids):
+        report = Report(study_id="s", impression="Recommend CT. No edema.")
+        with pytest.raises(InputError, match="ordered by unique id"):
+            clean_report_audited(report, pattern,
+                                 rules=tuple(RULES[i] for i in ids),
+                                 lexicon=lexicon)
+
     def test_all_communication_impression_empties(self, lexicon, pattern):
         report = Report(
             study_id="s", indication="",

@@ -182,6 +182,19 @@ class TestInputErrors:
         assert sorted(os.listdir(tmp_path)) == ["labels.csv",
                                                 "labels.csv.run.json"]
 
+    @pytest.mark.parametrize("categories,named", [
+        ([1], "categories"), ({"a": "ap"}, "'a'"), ({"a": [1]}, "'a'"),
+        ({"a": [""]}, "'a'"), ({"a": [" ap"]}, "'a'"),
+        ({"a": ["x-ray"]}, "'a'"), ({"a": ["\u212a"]}, "'a'")])
+    def test_invalid_keyword_catalog_exits_1(self, tmp_path, capsys,
+                                             categories, named):
+        keywords = tmp_path / "kw.json"
+        keywords.write_text(json.dumps({"version": "x",
+                                        "categories": categories}))
+        assert self._evaluate(tmp_path, "--keywords", str(keywords)) == 1
+        _single_error(capsys, "kw.json", named)
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_unknown_condition_exits_1(self, tmp_path, capsys):
         code = main(["chi2", "--in", CORPUS, "--condition", "Emphysema",
                      "--out", str(tmp_path / "chi2.csv")])
@@ -201,6 +214,45 @@ class TestLabelCommand:
         sidecar = json.loads((tmp_path / "labels.csv.run.json").read_text())
         assert sidecar["command"] == "label"
         assert sidecar["config"]["seed"] == 7
+
+
+class TestRunRecord:
+    def test_auth_token_is_written_to_no_file(self, tmp_path, monkeypatch,
+                                              http_endpoint):
+        token = "sekret-4d1e"
+        monkeypatch.setenv("RADPRAGMA_AUTH_TOKEN", token)
+        sent = []
+
+        def respond(body, handler):
+            sent.append(handler.headers["Authorization"])
+            return 200, {"rewritten": body.get("sentence", ""),
+                         "completion": "No acute process."}
+
+        url = http_endpoint(respond)
+        paths = run_pipeline(CORPUS, str(tmp_path))
+        out = str(tmp_path / "out")
+        lines = tmp_path / "lines.txt"
+        lines.write_text("No pneumonia.\nREMOVED\n")
+        for argv in (
+                ["clean", "--in", CORPUS, "--backend", "remote",
+                 "--clean-endpoint", url, "--out", out + "-clean.jsonl",
+                 "--audit", out + "-clean-audit.jsonl"],
+                ["generate", "--requests", CORPUS, "--mode", "remote",
+                 "--generation-endpoint", url, "--out", out + "-gen.jsonl",
+                 "--audit", out + "-gen-audit.jsonl"],
+                ["shift", "--a", paths["stats.json"], "--b",
+                 paths["stats.json"], "--out", out + "-shift.csv"],
+                ["clean-eval", "--machine", str(lines), "--manual",
+                 str(lines), "--original", str(lines),
+                 "--out", out + "-clean-eval.json"]):
+            assert main(argv) == 0, argv[0]
+        assert sent and set(sent) == {f"Bearer {token}"}
+        written = [p for p in tmp_path.iterdir() if p.is_file()]
+        assert len([p for p in written if p.name.endswith(".run.json")]) == 11
+        for path in written:
+            assert token.encode() not in path.read_bytes(), path.name
+        run = json.loads((tmp_path / "labels.csv.run.json").read_text())
+        assert run["config"]["auth_token"] is True
 
 
 class TestPipeline:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_bleu2, naive_hallucination, naive_label_f1
-from synth import NEGATIVE_SENTENCE, POSITIVE_SENTENCE, SCORABLE
+from synth import (NEGATIVE_SENTENCE, POSITIVE_SENTENCE, SCORABLE,
+                   label_vector)
 
 from radpragma.errors import InputError
 from radpragma.metrics import (NEGATIVE_F1_5, POSITIVE_F1_5_DEFAULT,
@@ -21,7 +22,7 @@ UNC = LabelValue.UNCERTAIN
 
 
 def vectors(rows):
-    return {sid: LabelVector.from_mapping(mapping)
+    return {sid: label_vector(mapping)
             for sid, mapping in rows.items()}
 
 

@@ -1,14 +1,19 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import naive_stem_match
+from synth import label_vector
+
+from radpragma.cleaning import DEFAULT_RULES
 from radpragma.corpus_io import (read_labels_csv, read_reports_jsonl,
                                  write_labels_csv, write_reports_jsonl)
 from radpragma.errors import InputError
+from radpragma.metrics import default_catalog
 from radpragma.model import (CONDITIONS, Condition, LabelValue, LabelVector,
-                             Report, matches_stem, normalize_text,
-                             segment_sentences, tokenize)
+                             Report, normalize_text, segment_sentences,
+                             stem_pattern, tokenize)
 
 
 class TestNormalizeText:
@@ -122,11 +127,11 @@ class TestLabelValues:
 
     def test_no_finding_constraint(self):
         with pytest.raises(ValueError, match="No Finding"):
-            LabelVector.from_mapping(
+            label_vector(
                 {Condition.NO_FINDING: LabelValue.NEGATIVE})
 
     def test_vector_accessors(self):
-        vector = LabelVector.from_mapping({
+        vector = label_vector({
             Condition.PNEUMONIA: LabelValue.NEGATIVE,
             Condition.EDEMA: LabelValue.POSITIVE})
         assert vector.get(Condition.PNEUMONIA) is LabelValue.NEGATIVE
@@ -177,7 +182,7 @@ class TestReportJsonl:
 
 
 def _vector(**kwargs):
-    return LabelVector.from_mapping(
+    return label_vector(
         {Condition.from_name(k.replace("_", " ")): v
          for k, v in kwargs.items()})
 
@@ -238,16 +243,57 @@ class TestLabelCsv:
             read_labels_csv(str(path))
 
 
+def _hit(text, *stems):
+    return stem_pattern(stems).search(text.lower()) is not None
+
+
+# Text pieces around the shipped stems: the stems themselves, longer and
+# shorter words, capitals, digits, punctuation, de-id underscores, and
+# characters whose lowercase differs in kind (U+212A KELVIN SIGN lowers to
+# ASCII "k"; "İ" lowers to two characters).
+_PIECES = (" ", " ", ".", ",", "-", "/", "(", "___", "_", "1", "2", "a", "p",
+           "e", "w", "n", "K", "\u212a", "\u0130", "\u00e9", "\u00df", "Ap",
+           "AP", "pa", "new", "News", "newly", "stat", "status", "view",
+           "compar", "COMPARED", "k1", "x-ray", "persist", "improv")
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+_STEMS = st.lists(
+    st.text(alphabet="apnewk12", min_size=1, max_size=6)
+    | st.sampled_from(["", "x-ray", "AP", " ap", "\u212a", "ap1"]),
+    max_size=5)
+
+
 class TestStemMatching:
     def test_short_stems_exact(self):
-        assert matches_stem("ap", "ap")
-        assert not matches_stem("apical", "ap")
-        assert not matches_stem("newly", "new")
+        assert _hit("AP film.", "ap")
+        assert not _hit("Apical scarring.", "ap")
+        assert not _hit("Newly placed line.", "new")
+        assert _hit("x/ap_", "ap")
 
     def test_long_stems_prefix(self):
-        assert matches_stem("comparison", "compar")
-        assert matches_stem("status", "status")
-        assert not matches_stem("stat", "status")
+        assert _hit("Comparison made.", "compar")
+        assert _hit("status post", "status")
+        assert not _hit("stat", "status")
+        assert not _hit("incomparable", "compar")
+
+    def test_no_valid_stem_never_matches(self):
+        for stems in ((), ("",), ("x-ray",), ("AP",)):
+            assert not _hit("x-ray AP ap", *stems)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TEXTS, _STEMS)
+    def test_matches_token_loop(self, text, stems):
+        assert _hit(text, *stems) == naive_stem_match(text, stems)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TEXTS)
+    def test_shipped_stems_match_token_loop(self, text):
+        for rule in DEFAULT_RULES:
+            assert rule.triggered_by(text) == \
+                naive_stem_match(text, rule.trigger_cues)
+        catalog = default_catalog()
+        assert catalog.flags(text) == {
+            name for name, stems in catalog.categories
+            if naive_stem_match(text, stems)}
 
     def test_tokenize(self):
         assert tokenize("Compared to ___, 2 views (AP/PA).") == \

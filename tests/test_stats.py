@@ -5,10 +5,10 @@ import random
 import pytest
 
 from oracles import naive_summary
-from synth import build_label_corpus
+from synth import build_label_corpus, label_vector
 
 from radpragma.errors import DegenerateTableError, InputError
-from radpragma.model import Condition, LabelValue, LabelVector, Report
+from radpragma.model import Condition, LabelValue, Report
 from radpragma.stats import (ContingencyTable2x2, CorpusSummary,
                              chi_square_test, conditional_negative_rates,
                              shift_report, summarize)
@@ -102,7 +102,7 @@ class TestChiSquarePValue:
 def _corpus(rows):
     """rows: {study_id: (label mapping, mention set)}"""
     reports = [Report(study_id=sid, impression="x") for sid in rows]
-    labels = {sid: LabelVector.from_mapping(mapping)
+    labels = {sid: label_vector(mapping)
               for sid, (mapping, _) in rows.items()}
     mentions = {sid: frozenset(ms) for sid, (_, ms) in rows.items()}
     return reports, labels, mentions
