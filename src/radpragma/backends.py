@@ -252,7 +252,8 @@ class RemoteRewriteBackend:
     Protocol: POST ``{"rule_id": int, "prompt": str, "sentence": str}``,
     response ``{"rewritten": str}``. The endpoint must behave
     deterministically (temperature-zero semantics); within a run, responses
-    are memoized per (rule, sentence) regardless.
+    are memoized per (rule, sentence) regardless. ``close()``, or leaving a
+    ``with`` block, closes the HTTP session if the backend opened it.
     """
 
     def __init__(self, endpoint: str, auth_token: Optional[str] = None,
@@ -262,8 +263,19 @@ class RemoteRewriteBackend:
         self.timeout = timeout
         self.retries = retries
         self._auth_token = auth_token
+        self._owns_session = session is None
         self._session = session or http_session()
         self._cache: dict[tuple[int, str], str] = {}
+
+    def close(self) -> None:
+        if self._owns_session:
+            self._session.close()
+
+    def __enter__(self) -> RemoteRewriteBackend:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def rewrite(self, rule: CleaningRule, sentence: str) -> str:
         key = (rule.rule_id, sentence)

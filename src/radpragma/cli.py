@@ -6,7 +6,8 @@ command-line flag > environment variable > config file > default,
 and every run writes the resolved configuration next to its primary output
 (``<out>.run.json``) for reproducibility. All outputs are written
 atomically; an interrupted run never leaves a partial file at the final
-path.
+path. Each handler imports the modules it runs, so a stage process loads
+only those.
 
 Exit codes: 0 success, 1 input error, 2 remote-backend failure.
 """
@@ -18,15 +19,17 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import backends, cleaning, corpus_io, generator, metrics, stats
+from . import corpus_io, metrics
 from .errors import BackendError, DegenerateTableError, InputError
 from .labeler import (Lexicon, default_lexicon, indication_mention_sets,
                       label_corpus)
 from .model import CONDITIONS, Condition, Report
+
+if TYPE_CHECKING:
+    from . import generator, stats
 
 ENV_PREFIX = "RADPRAGMA_"
 
@@ -58,6 +61,7 @@ _LIMITS = {
     "timeout": (lambda v: 0 < v < math.inf, "a finite number > 0"),
     "retries": (lambda v: v >= 0, "an integer >= 0"),
     "jobs": (lambda v: v >= 1, "an integer >= 1"),
+    "shift_threshold": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
 }
 
 
@@ -124,8 +128,10 @@ def resolve_config(args: argparse.Namespace) -> Config:
         value = getattr(args, name, None)
         if value is not None:
             if not _allowed(name, value):
-                raise InputError(f"--{name.replace('_', '-')}: expected "
-                                 f"{_expected(name)}, got {value!r}")
+                flag = ("--threshold" if name == "shift_threshold"
+                        else "--" + name.replace("_", "-"))
+                raise InputError(f"{flag}: expected {_expected(name)}, "
+                                 f"got {value!r}")
             setattr(config, name, value)
     return config
 
@@ -163,6 +169,7 @@ def _write_run_config(primary_out: Optional[str], command: str,
 def _run_all(work, items, workers: int) -> list:
     """``work`` over ``items`` in order, on ``workers`` threads if > 1."""
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, items))
     return [work(item) for item in items]
@@ -201,12 +208,13 @@ def cmd_label(args) -> int:
 
 
 def _summary_csv(summary: stats.CorpusSummary) -> str:
+    from .stats import ConditionStats
     scalars = summary.to_dict()
     per_condition = scalars.pop("per_condition")
     rows = [["metric", "value"]]
     rows += [[name, _cell(value)] for name, value in scalars.items()]
     rows += [[], ["condition"]
-             + [f.name for f in fields(stats.ConditionStats)]]
+             + [f.name for f in fields(ConditionStats)]]
     rows += [[name] + [_cell(value) for value in cstats.values()]
              for name, cstats in per_condition.items()]
     return corpus_io.csv_text(rows)
@@ -232,6 +240,7 @@ def _print_summary(summary: stats.CorpusSummary) -> None:
 
 
 def cmd_stats(args) -> int:
+    from . import stats
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
@@ -248,6 +257,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_chi2(args) -> int:
+    from . import stats
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
@@ -281,14 +291,16 @@ def cmd_chi2(args) -> int:
 
 
 def _read_summary(path: str) -> stats.CorpusSummary:
+    from .stats import CorpusSummary
     obj = corpus_io.read_json(path, "summary")
     try:
-        return stats.CorpusSummary.from_dict(obj)
+        return CorpusSummary.from_dict(obj)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_shift(args) -> int:
+    from . import stats
     config = resolve_config(args)
     shift = stats.shift_report(_read_summary(args.a), _read_summary(args.b),
                                config.shift_threshold)
@@ -309,28 +321,27 @@ def cmd_shift(args) -> int:
     return 0
 
 
-def _make_rewrite_backend(args, config: Config):
-    if args.backend == "pattern":
-        return backends.PatternBackend()
-    if not config.clean_endpoint:
-        raise InputError(
-            "remote cleaning backend requires an endpoint (flag "
-            "--clean-endpoint, env RADPRAGMA_CLEAN_ENDPOINT, or config file)")
-    return backends.RemoteRewriteBackend(
-        config.clean_endpoint, auth_token=config.auth_token,
-        timeout=config.timeout, retries=config.retries)
-
-
 def cmd_clean(args) -> int:
+    from . import backends, cleaning
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
-    backend = _make_rewrite_backend(args, config)
 
-    def work(report):
-        return cleaning.clean_report_audited(report, backend, lexicon=lexicon)
+    def clean_all(backend, workers: int) -> list:
+        return _run_all(lambda report: cleaning.clean_report_audited(
+            report, backend, lexicon=lexicon), corpus, workers)
 
-    results = _run_all(work, corpus, config.jobs)
+    if args.backend == "pattern":
+        results = clean_all(backends.PatternBackend(), 1)
+    elif not config.clean_endpoint:
+        raise InputError(
+            "remote cleaning backend requires an endpoint (flag "
+            "--clean-endpoint, env RADPRAGMA_CLEAN_ENDPOINT, or config file)")
+    else:
+        with backends.RemoteRewriteBackend(
+                config.clean_endpoint, auth_token=config.auth_token,
+                timeout=config.timeout, retries=config.retries) as backend:
+            results = clean_all(backend, config.jobs)
     corpus_io.write_reports_jsonl([report for report, _ in results], args.out)
     if args.audit:
         _write_jsonl(args.audit,
@@ -348,6 +359,7 @@ def _read_sentences(path: str) -> list[str]:
 
 
 def cmd_clean_eval(args) -> int:
+    from . import cleaning
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     scores = cleaning.evaluate_cleaning(
@@ -363,6 +375,7 @@ def cmd_clean_eval(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from . import generator
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
@@ -379,6 +392,7 @@ def _read_predictions(path: str) -> dict[str, frozenset]:
 
 
 def _build_requests(args) -> list[generator.GenerationRequest]:
+    from .generator import GenerationRequest
     reports = corpus_io.read_reports_jsonl(args.requests)
     predictions = (_read_predictions(args.predictions)
                    if args.predictions else {})
@@ -392,7 +406,7 @@ def _build_requests(args) -> list[generator.GenerationRequest]:
         else:
             positives = frozenset()
         try:
-            requests_out.append(generator.GenerationRequest(
+            requests_out.append(GenerationRequest(
                 study_id=report.study_id, indication=report.indication,
                 predicted_positives=positives))
         except ValueError as exc:
@@ -401,6 +415,7 @@ def _build_requests(args) -> list[generator.GenerationRequest]:
 
 
 def cmd_generate(args) -> int:
+    from . import generator
     config = resolve_config(args)
     lexicon = _load_lexicon(config)
     requests_in = _build_requests(args)
@@ -408,18 +423,16 @@ def cmd_generate(args) -> int:
         if not args.index:
             raise InputError("retrieval generation requires --index")
         index = generator.RetrievalIndex.load(args.index, lexicon)
-
-        def work(request):
-            return generator.generate_retrieval(request, index, lexicon)
-
-        results = _run_all(work, requests_in, config.jobs)
+        results = [generator.generate_retrieval(request, index, lexicon)
+                   for request in requests_in]
     else:
         if not config.generation_endpoint:
             raise InputError(
                 "remote generation requires an endpoint (flag "
                 "--generation-endpoint, env RADPRAGMA_GENERATION_ENDPOINT, "
                 "or config file)")
-        with backends.http_session() as session:
+        from .backends import http_session
+        with http_session() as session:
 
             def work(request):
                 return generator.generate_remote(
@@ -548,7 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["pattern", "remote"],
                    default="pattern")
     p.add_argument("--audit", help="per-sentence audit JSONL path")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="requests in flight with --backend remote; the "
+                        "pattern backend runs in one thread")
     p.add_argument("--clean-endpoint", dest="clean_endpoint")
     p.set_defaults(handler=cmd_clean)
 
@@ -579,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="retrieval")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="per-request audit JSONL path")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="requests in flight with --mode remote; retrieval "
+                        "runs in one thread")
     p.add_argument("--generation-endpoint", dest="generation_endpoint")
     p.set_defaults(handler=cmd_generate)
 

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import secrets
 from contextlib import contextmanager
 from typing import Iterable, Mapping
 
@@ -31,7 +30,7 @@ def write_text_atomic(path: str, text: str) -> None:
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:

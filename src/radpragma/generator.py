@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .backends import http_session, post_json
 from .corpus_io import read_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
@@ -332,6 +331,7 @@ def generate_remote(request: GenerationRequest, endpoint: str,
     retries, so a flaky endpoint never produces duplicate generations.
     Pass one ``session`` for a whole run to reuse its connections.
     """
+    from .backends import http_session, post_json
     if session is None:
         with http_session() as own:
             return generate_remote(request, endpoint, auth_token, timeout, own)

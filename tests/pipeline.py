@@ -10,8 +10,9 @@ PRIMARY_OUTPUTS = ("labels.csv", "stats.csv", "stats.json", "chi2.csv",
                    "metrics.csv")
 
 
-def run_pipeline(corpus_path, outdir):
-    """label -> stats -> chi2 -> clean -> index -> generate -> evaluate."""
+def pipeline_steps(corpus_path, outdir):
+    """(paths, argv of each stage): label -> stats -> chi2 -> clean ->
+    index -> generate -> evaluate."""
     paths = {name: os.path.join(outdir, name) for name in PRIMARY_OUTPUTS}
     steps = [
         ["label", "--in", corpus_path, "--out", paths["labels.csv"]],
@@ -32,6 +33,12 @@ def run_pipeline(corpus_path, outdir):
          "--ref-original", corpus_path, "--ref-clean", paths["cleaned.jsonl"],
          "--out", paths["metrics.json"], "--csv", paths["metrics.csv"]],
     ]
+    return paths, steps
+
+
+def run_pipeline(corpus_path, outdir):
+    """Run every stage of ``pipeline_steps`` in this process."""
+    paths, steps = pipeline_steps(corpus_path, outdir)
     for argv in steps:
         code = main(argv)
         assert code == 0, f"step {argv[0]} exited {code}"

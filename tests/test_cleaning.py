@@ -1,4 +1,5 @@
 import pytest
+import requests
 
 from synth import AdversarialBackend, guard_fixture_sentences
 
@@ -375,6 +376,19 @@ class TestRemoteBackend:
         got = apply_rule("Recommend clinical correlation.", RULES[3], backend)
         assert got == REMOVED
         assert state["n"] == 2
+
+    def test_closes_only_a_session_it_opened(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(requests.Session, "close",
+                            lambda session: closed.append(session))
+        with RemoteRewriteBackend("http://127.0.0.1:9/"):
+            assert not closed
+        assert len(closed) == 1
+        shared = requests.Session()
+        with RemoteRewriteBackend("http://127.0.0.1:9/", session=shared):
+            pass
+        RemoteRewriteBackend("http://127.0.0.1:9/", session=shared).close()
+        assert len(closed) == 1 and closed[0] is not shared
 
     def test_clean_sentence_with_remote_backend(self, http_endpoint, lexicon):
         def respond(body, handler):

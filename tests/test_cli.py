@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import pytest
 import requests
@@ -270,6 +271,25 @@ class TestPipeline:
         metrics = json.loads(open(paths["metrics.json"]).read())
         assert 0.0 <= metrics["pos_f1"] <= 1.0
 
+    def test_offline_jobs_run_in_one_thread(self, tmp_path, monkeypatch):
+        index = str(tmp_path / "index.json")
+        assert main(["index", "--in", CORPUS, "--out", index]) == 0
+
+        def no_thread(thread):
+            raise AssertionError("an offline stage started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        outs = [str(tmp_path / "cleaned.jsonl"),
+                str(tmp_path / "generated.jsonl")]
+        assert main(["clean", "--in", CORPUS, "--backend", "pattern",
+                     "--jobs", "4", "--out", outs[0]]) == 0
+        assert main(["generate", "--requests", CORPUS, "--index", index,
+                     "--mode", "retrieval", "--jobs", "4",
+                     "--out", outs[1]]) == 0
+        for out in outs:
+            with open(out + ".run.json", encoding="utf-8") as handle:
+                assert json.load(handle)["config"]["jobs"] == 4
+
     def test_evaluate_matches_bundled_oracle(self, tmp_path):
         out = tmp_path / "metrics.json"
         code = main([
@@ -402,6 +422,36 @@ class TestShiftCommand:
         assert main(["shift", "--a", str(a), "--b", str(b)]) == 0
         assert "error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf"])
+    def test_threshold_flag_out_of_range_exits_1(self, tmp_path, capsys,
+                                                 raw):
+        a, b = self._write_summaries(tmp_path)
+        out = tmp_path / "shift.csv"
+        code = main(["shift", "--a", str(a), "--b", str(b),
+                     "--threshold", raw, "--out", str(out)])
+        assert code == 1
+        _single_error(capsys, "error: --threshold: ", ">= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["-1", "nan", "-inf"])
+    def test_threshold_env_out_of_range_exits_1(self, tmp_path, capsys,
+                                                monkeypatch, raw):
+        a, b = self._write_summaries(tmp_path)
+        monkeypatch.setenv("RADPRAGMA_SHIFT_THRESHOLD", raw)
+        assert main(["shift", "--a", str(a), "--b", str(b)]) == 1
+        _single_error(capsys, "RADPRAGMA_SHIFT_THRESHOLD", repr(raw))
+
+    @pytest.mark.parametrize("value", [-1, -0.5, float("inf")])
+    def test_threshold_config_out_of_range_exits_1(self, tmp_path, capsys,
+                                                   value):
+        a, b = self._write_summaries(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"shift_threshold": value}))
+        code = main(["shift", "--a", str(a), "--b", str(b),
+                     "--config", str(config)])
+        assert code == 1
+        _single_error(capsys, "config.json", "'shift_threshold'", ">= 0")
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         a, b = self._write_summaries(tmp_path)
         config = tmp_path / "config.json"
@@ -485,6 +535,24 @@ class TestRemoteFailures:
         assert code == 0
         assert len(sessions) == len(read_reports_jsonl(CORPUS))
         assert len({id(session) for session in sessions}) == 1
+
+    def test_clean_remote_closes_its_session(self, tmp_path, http_endpoint,
+                                             monkeypatch):
+        closed = []
+        real_close = requests.Session.close
+
+        def recording(session):
+            closed.append(session)
+            return real_close(session)
+
+        monkeypatch.setattr(requests.Session, "close", recording)
+        url = http_endpoint(
+            lambda body, handler: (200, {"rewritten": body["sentence"]}))
+        code = main(["clean", "--in", CORPUS, "--backend", "remote",
+                     "--clean-endpoint", url, "--jobs", "2",
+                     "--out", str(tmp_path / "cleaned.jsonl")])
+        assert code == 0
+        assert len(closed) == 1
 
     def test_clean_remote_against_mock_endpoint(self, tmp_path,
                                                 http_endpoint):

@@ -3,14 +3,55 @@ wraps."""
 
 import ast
 import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 
+import pytest
+
 import radpragma
+from pipeline import pipeline_steps
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(radpragma.__file__)))
+CORPUS = os.path.join(ROOT, "tests", "fixtures", "corpus.jsonl")
+
+#: What ``radpragma/__init__.py`` exported when it still imported every
+#: module, by defining module.
+EXPORTS = {
+    "backends": ["PatternBackend", "RemoteRewriteBackend"],
+    "cleaning": ["DEFAULT_RULES", "REMOVED", "CleaningRule", "apply_rule",
+                 "clean_report", "clean_sentence", "evaluate_cleaning"],
+    "errors": ["BackendError", "DegenerateTableError", "InputError"],
+    "generator": ["GenerationRequest", "RetrievalIndex",
+                  "build_generation_prompt", "build_index",
+                  "generate_remote", "generate_retrieval"],
+    "labeler": ["Lexicon", "default_lexicon", "indication_mentions",
+                "label_report", "label_sentence"],
+    "metrics": ["KeywordCatalog", "MetricsReport", "bleu2",
+                "default_catalog", "evaluate_generation",
+                "hallucination_rate", "negative_f1", "positive_f1"],
+    "model": ["CONDITIONS", "Condition", "LabelValue", "LabelVector",
+              "Report", "Sentence", "normalize_text", "segment_sentences"],
+    "stats": ["ContingencyTable2x2", "CorpusSummary", "chi_square_test",
+              "conditional_negative_rates", "shift_report", "summarize"],
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items()
+            for name in names]
+
+
+def _child(code, *args):
+    """Run ``code`` in a fresh interpreter with the package importable and
+    return the last line it printed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    return result.stdout.strip().splitlines()[-1]
 
 
 def test_offline_start_does_not_load_requests():
@@ -18,13 +59,84 @@ def test_offline_start_does_not_load_requests():
     code = ("import sys, radpragma.cli as cli; cli.default_lexicon(); "
             "print(sorted(m for m in ('requests', 'urllib3') "
             "if m in sys.modules))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60,
-                            check=True)
-    assert result.stdout.strip() == "[]"
+    assert _child(code) == "[]"
+
+
+# The modules each offline stage must not load, and those it must.
+HEAVY = ("radpragma.backends", "radpragma.cleaning", "radpragma.generator",
+         "radpragma.stats")
+STAGE_IMPORTS = {
+    "label": ((), HEAVY),
+    "stats": (("radpragma.stats",), HEAVY[:3]),
+    "chi2": (("radpragma.stats",), HEAVY[:3]),
+    "clean": (("radpragma.cleaning", "radpragma.backends"),
+              ("radpragma.generator", "radpragma.stats")),
+    "index": (("radpragma.generator",),
+              ("radpragma.cleaning", "radpragma.backends")),
+    "generate": (("radpragma.generator",),
+                 ("radpragma.cleaning", "radpragma.backends")),
+    "evaluate": ((), HEAVY),
+}
+# As ``python -m radpragma.cli ARGS`` does, then print what was loaded.
+RUN_CLI = ("import json, runpy, sys\n"
+           "try:\n"
+           "    runpy.run_module('radpragma.cli', run_name='__main__',\n"
+           "                     alter_sys=True)\n"
+           "except SystemExit as exc:\n"
+           "    code = exc.code\n"
+           "print(json.dumps([code, sorted(sys.modules)]))\n")
+
+
+@pytest.fixture(scope="module")
+def stage_modules(tmp_path_factory):
+    """The modules loaded by each offline pipeline stage, each run in its
+    own process, in order."""
+    _, steps = pipeline_steps(CORPUS, str(tmp_path_factory.mktemp("run")))
+    loaded = {}
+    for argv in steps:
+        code, modules = json.loads(_child(RUN_CLI, *argv))
+        assert code == 0, argv[0]
+        loaded[argv[0]] = set(modules)
+    return loaded
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_IMPORTS))
+def test_each_stage_loads_only_what_it_runs(stage_modules, stage):
+    needed, unneeded = STAGE_IMPORTS[stage]
+    loaded = stage_modules[stage]
+    assert set(needed) <= loaded
+    assert not loaded & set(unneeded)
+    assert not loaded & {"concurrent.futures", "requests"}
+
+
+def test_import_loads_no_submodule():
+    code = ("import json, sys, radpragma; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('radpragma.'))))")
+    assert _child(code) == "[]"
+
+
+@pytest.mark.parametrize("module, name", EXPORTED)
+def test_package_exports_resolve_lazily(module, name):
+    defining = importlib.import_module(f"radpragma.{module}")
+    assert getattr(radpragma, name) is getattr(defining, name)
+    assert name in dir(radpragma)
+    assert name in radpragma.__all__
+
+
+def test_package_exports_nothing_else():
+    assert sorted(radpragma.__all__) == sorted(n for _, n in EXPORTED)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        radpragma.no_such_name  # noqa: B018
+
+
+def test_readme_library_snippet_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    section = readme.split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert namespace["scores"].hallucination_rate == 0.0
 
 
 def _traced_names():
