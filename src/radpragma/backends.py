@@ -126,6 +126,7 @@ _RULE7_PRODUCTIONS = (
 
 _TIDY_SPACE_BEFORE_PUNCT = re.compile(r"\s+([.,;:!?])")
 _TIDY_DOUBLE_COMMA = re.compile(r",\s*,")
+_TIDY_DANGLING_COMMA = re.compile(r",(?=[.;:!?]|$)")
 _HAS_ALNUM = re.compile(r"[a-z0-9]", _I)
 _TERMINAL_PUNCT = (".", "!", "?")
 
@@ -141,7 +142,7 @@ class PatternBackend:
                 ensure_period: bool) -> str:
         result = _TIDY_DOUBLE_COMMA.sub(",", result)
         result = _TIDY_SPACE_BEFORE_PUNCT.sub(r"\1", result)
-        result = normalize_text(result)
+        result = _TIDY_DANGLING_COMMA.sub("", normalize_text(result))
         if not _HAS_ALNUM.search(result):
             return REMOVED
         if result != original and result[0].islower():

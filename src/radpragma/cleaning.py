@@ -12,13 +12,13 @@ any condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
 from .labeler import Lexicon, default_lexicon, label_sentence
-from .model import (LabelVector, Report, normalize_text, segment_sentences,
-                    stem_pattern)
+from .model import (LabelVector, Report, join_sentences, normalize_text,
+                    segment_sentences, stem_pattern)
 
 #: Sentinel marking a sentence deleted by a cleaning rule.
 REMOVED = "REMOVED"
@@ -266,9 +266,7 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
                                     tuple(outcomes)))
         if final != REMOVED:
             kept.append(final)
-    cleaned = Report(study_id=report.study_id, impression=" ".join(kept),
-                     indication=report.indication, findings=report.findings)
-    return cleaned, audits
+    return replace(report, impression=join_sentences(kept)), audits
 
 
 def clean_report(report: Report, backend: RewriteBackend,

@@ -94,32 +94,22 @@ def _coerce(name: str, raw: str):
                      f"{_expected(name)}, got {raw!r}")
 
 
-def _accepts(name: str, value) -> bool:
-    """Whether a config-file value fits the Config field's type and
-    allowed values."""
-    if value is None:
-        return "Optional" in _FIELD_TYPES[name]
-    kind = _kind(name)
-    if isinstance(value, bool):
-        return False
-    return (isinstance(value, (int, float) if kind is float else kind)
-            and _allowed(name, value))
+def _file_values(values: dict) -> dict:
+    """A config file's values, each checked against its Config field."""
+    for name, value in values.items():
+        if name not in _FIELD_TYPES:
+            raise InputError(f"unknown config key {name!r}")
+        if not (corpus_io.fits(_FIELD_TYPES[name], value)
+                and _allowed(name, value)):
+            raise InputError(f"config key {name!r} expects "
+                             f"{_expected(name)}, got {value!r}")
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    config = Config()
     path = getattr(args, "config", None)
-    if path:
-        file_values = corpus_io.read_json(path, "config")
-        if not isinstance(file_values, dict):
-            raise InputError(f"{path}: config must be a JSON object")
-        for name, value in file_values.items():
-            if name not in _FIELD_TYPES:
-                raise InputError(f"{path}: unknown config key {name!r}")
-            if not _accepts(name, value):
-                raise InputError(f"{path}: config key {name!r} expects "
-                                 f"{_expected(name)}, got {value!r}")
-            setattr(config, name, value)
+    config = (Config(**corpus_io.load_json(path, "config", _file_values))
+              if path else Config())
     for name in _FIELD_TYPES:
         raw = os.environ.get(ENV_PREFIX + name.upper())
         if raw is not None:
@@ -186,25 +176,28 @@ def _cell(value) -> str:
     return str(value) if isinstance(value, int) else _fmt(value)
 
 
-def _labels_for(args, corpus, lexicon):
-    if getattr(args, "labels", None):
-        return corpus_io.read_labels_csv(args.labels)
-    return label_corpus(corpus, lexicon)
+def _labeled_corpus(args, config: Config) -> tuple:
+    """The ``--in`` corpus, its labels (``--labels`` if given, else the
+    labeler's) and its indication mention sets."""
+    lexicon = _load_lexicon(config)
+    corpus = corpus_io.read_reports_jsonl(args.infile)
+    labels = (corpus_io.read_labels_csv(args.labels) if args.labels
+              else label_corpus(corpus, lexicon))
+    return corpus, labels, indication_mention_sets(corpus, lexicon)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each takes the parsed arguments and the resolved
+# Config, and returns the inputs that ``<out>.run.json`` records.
 # ---------------------------------------------------------------------------
 
 
-def cmd_label(args) -> int:
-    config = resolve_config(args)
+def cmd_label(args, config: Config) -> dict:
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
     labels = label_corpus(corpus, lexicon)
     corpus_io.write_labels_csv(labels, args.out)
-    _write_run_config(args.out, "label", config, {"in": args.infile})
-    return 0
+    return {"in": args.infile}
 
 
 def _summary_csv(summary: stats.CorpusSummary) -> str:
@@ -239,30 +232,20 @@ def _print_summary(summary: stats.CorpusSummary) -> None:
               f"{cstats.indication_mentions:7d} {pct:>12s}")
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, config: Config) -> dict:
     from . import stats
-    config = resolve_config(args)
-    lexicon = _load_lexicon(config)
-    corpus = corpus_io.read_reports_jsonl(args.infile)
-    labels = _labels_for(args, corpus, lexicon)
-    mentions = indication_mention_sets(corpus, lexicon)
+    corpus, labels, mentions = _labeled_corpus(args, config)
     summary = stats.summarize(corpus, labels, mentions)
     corpus_io.write_text_atomic(args.out, _summary_csv(summary))
     if args.json:
         corpus_io.write_json(args.json, summary.to_dict())
     _print_summary(summary)
-    _write_run_config(args.out, "stats", config,
-                      {"in": args.infile, "labels": args.labels})
-    return 0
+    return {"in": args.infile, "labels": args.labels}
 
 
-def cmd_chi2(args) -> int:
+def cmd_chi2(args, config: Config) -> dict:
     from . import stats
-    config = resolve_config(args)
-    lexicon = _load_lexicon(config)
-    corpus = corpus_io.read_reports_jsonl(args.infile)
-    labels = _labels_for(args, corpus, lexicon)
-    mentions = indication_mention_sets(corpus, lexicon)
+    corpus, labels, mentions = _labeled_corpus(args, config)
     if args.condition:
         try:
             conditions = [Condition.from_name(args.condition)]
@@ -285,45 +268,32 @@ def cmd_chi2(args) -> int:
         rows.append([condition.value, _fmt(p_in), _fmt(p_out),
                      stat_text, p_text, significant])
     corpus_io.write_text_atomic(args.out, corpus_io.csv_text(rows))
-    _write_run_config(args.out, "chi2", config,
-                      {"in": args.infile, "labels": args.labels})
-    return 0
+    return {"in": args.infile, "labels": args.labels}
 
 
-def _read_summary(path: str) -> stats.CorpusSummary:
-    from .stats import CorpusSummary
-    obj = corpus_io.read_json(path, "summary")
-    try:
-        return CorpusSummary.from_dict(obj)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-
-
-def cmd_shift(args) -> int:
+def cmd_shift(args, config: Config) -> dict:
     from . import stats
-    config = resolve_config(args)
-    shift = stats.shift_report(_read_summary(args.a), _read_summary(args.b),
-                               config.shift_threshold)
+    split_a, split_b = (
+        corpus_io.load_json(path, "summary", stats.CorpusSummary.from_dict)
+        for path in (args.a, args.b))
+    shift = stats.shift_report(split_a, split_b, config.shift_threshold)
     rows = [["field", "a", "b", "delta", "relative", "flagged"]]
     rows += [[delta.field, _fmt(delta.a), _fmt(delta.b), _fmt(delta.delta),
               _fmt(delta.relative), str(delta.flagged).lower()]
              for delta in shift.fields]
     if args.out:
         corpus_io.write_text_atomic(args.out, corpus_io.csv_text(rows))
-        _write_run_config(args.out, "shift", config,
-                          {"a": args.a, "b": args.b})
     flagged = shift.flagged_fields()
     print(f"{len(flagged)} field(s) exceed relative delta "
           f"{shift.threshold:g}")
     for delta in flagged:
         print(f"  {delta.field}: {_fmt(delta.a)} -> {_fmt(delta.b)} "
               f"(relative {_fmt(delta.relative)})")
-    return 0
+    return {"a": args.a, "b": args.b}
 
 
-def cmd_clean(args) -> int:
+def cmd_clean(args, config: Config) -> dict:
     from . import backends, cleaning
-    config = resolve_config(args)
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
 
@@ -348,9 +318,7 @@ def cmd_clean(args) -> int:
                      ({"study_id": report.study_id, **audit.to_dict()}
                       for report, (_, audits) in zip(corpus, results)
                       for audit in audits))
-    _write_run_config(args.out, "clean", config,
-                      {"in": args.infile, "backend": args.backend})
-    return 0
+    return {"in": args.infile, "backend": args.backend}
 
 
 def _read_sentences(path: str) -> list[str]:
@@ -358,31 +326,26 @@ def _read_sentences(path: str) -> list[str]:
         return [line.rstrip("\n") for line in handle]
 
 
-def cmd_clean_eval(args) -> int:
+def cmd_clean_eval(args, config: Config) -> dict:
     from . import cleaning
-    config = resolve_config(args)
     lexicon = _load_lexicon(config)
     scores = cleaning.evaluate_cleaning(
         _read_sentences(args.machine), _read_sentences(args.manual),
         _read_sentences(args.original), lexicon)
     if args.out:
         corpus_io.write_json(args.out, scores)
-        _write_run_config(args.out, "clean-eval", config,
-                          {"machine": args.machine, "manual": args.manual,
-                           "original": args.original})
     print(json.dumps(scores, ensure_ascii=False, sort_keys=True, indent=2))
-    return 0
+    return {"machine": args.machine, "manual": args.manual,
+            "original": args.original}
 
 
-def cmd_index(args) -> int:
+def cmd_index(args, config: Config) -> dict:
     from . import generator
-    config = resolve_config(args)
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
     index = generator.build_index(corpus, lexicon)
     index.save(args.out)
-    _write_run_config(args.out, "index", config, {"in": args.infile})
-    return 0
+    return {"in": args.infile}
 
 
 def _read_predictions(path: str) -> dict[str, frozenset]:
@@ -414,9 +377,8 @@ def _build_requests(args) -> list[generator.GenerationRequest]:
     return requests_out
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, config: Config) -> dict:
     from . import generator
-    config = resolve_config(args)
     lexicon = _load_lexicon(config)
     requests_in = _build_requests(args)
     if args.mode == "retrieval":
@@ -448,18 +410,15 @@ def cmd_generate(args) -> int:
     corpus_io.write_reports_jsonl(reports, args.out)
     if args.audit:
         _write_jsonl(args.audit, (result.audit_dict() for result in results))
-    _write_run_config(args.out, "generate", config,
-                      {"requests": args.requests, "index": args.index,
-                       "predictions": args.predictions, "mode": args.mode})
-    return 0
+    return {"requests": args.requests, "index": args.index,
+            "predictions": args.predictions, "mode": args.mode}
 
 
 _METRICS_CSV_COLUMNS = ["pos_f1", "pos_f1_5", "bleu2", "clean_bleu2",
                         "neg_f1", "neg_f1_5", "hallucination_rate"]
 
 
-def cmd_evaluate(args) -> int:
-    config = resolve_config(args)
+def cmd_evaluate(args, config: Config) -> dict:
     lexicon = _load_lexicon(config)
     catalog = _load_catalog(config)
     generated = corpus_io.read_reports_jsonl(args.generated)
@@ -480,12 +439,9 @@ def cmd_evaluate(args) -> int:
           + ", ".join(c.value for c in report.pos_f1_5_conditions))
     for column in _METRICS_CSV_COLUMNS:
         print(f"{column:20s} {_fmt(scores[column])}")
-    _write_run_config(args.out, "evaluate", config,
-                      {"generated": args.generated,
-                       "ref_original": args.ref_original,
-                       "ref_clean": args.ref_clean,
-                       "ref_original_labels": args.ref_original_labels})
-    return 0
+    return {"generated": args.generated, "ref_original": args.ref_original,
+            "ref_clean": args.ref_clean,
+            "ref_original_labels": args.ref_original_labels}
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        config = resolve_config(args)
+        inputs = args.handler(args, config)
+        _write_run_config(args.out, args.command, config, inputs)
+        return 0
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,12 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import InputError
 from .model import CONDITIONS, LabelValue, LabelVector, Report
+
+_T = TypeVar("_T")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -72,14 +74,31 @@ def open_utf8(path: str, newline=None):
         raise InputError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
-def read_json(path: str, what: str):
-    """Parse the JSON document at ``path``; ``what`` names it in errors."""
+def load_json(path: str, what: str, parse: Callable[[dict], _T]) -> _T:
+    """``parse(obj)`` for the JSON object ``obj`` at ``path``. Every error,
+    ``parse``'s included, names the file; ``what`` names the document."""
     with open_utf8(path) as handle:
         try:
-            return json.load(handle)
+            obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid {what} JSON: {exc.msg}") \
                 from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: {what} must be a JSON object")
+    try:
+        return parse(obj)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def fits(declared: str, value) -> bool:
+    """Whether a JSON value fits a dataclass field annotated ``declared``: an
+    int takes integers, a float any number, a str strings, Optional null."""
+    if value is None:
+        return "Optional" in declared
+    kind = (int if "int" in declared else (int, float) if "float" in declared
+            else str)
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def write_json(path: str, obj) -> None:

@@ -17,12 +17,12 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .corpus_io import read_json, write_json
+from .corpus_io import load_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
                       indication_mentions, label_sentence)
-from .model import (CONDITIONS, Condition, LabelValue, Report, normalize_text,
-                    segment_sentences)
+from .model import (CONDITIONS, Condition, LabelValue, Report, join_sentences,
+                    normalize_text, segment_sentences)
 
 if TYPE_CHECKING:
     import requests
@@ -107,21 +107,31 @@ class RetrievalIndex:
             raise InputError(
                 f"unsupported index format version: {version!r}")
         try:
+            impressions = dict(obj["impressions"])
             by_label_set = {
                 frozenset(Condition.from_name(n) for n in entry["conditions"]):
-                    tuple(entry["study_ids"])
+                    _indexed_ids(entry["study_ids"], impressions)
                 for entry in obj["by_label_set"]}
+            pools = obj["negative_pool"]
+            if not isinstance(pools, dict):
+                raise InputError(f"negative_pool must be an object, "
+                                 f"got {pools!r}")
             negative_pool = {
                 Condition.from_name(name):
                     tuple(PooledSentence(e["text"], e["study_id"])
                           for e in entries)
-                for name, entries in obj["negative_pool"].items()}
+                for name, entries in pools.items()}
+            for text in [*impressions.values(), *(
+                    s.text for pool in negative_pool.values() for s in pool)]:
+                if not isinstance(text, str):
+                    raise InputError(f"impression and pool texts must be "
+                                     f"strings, got {text!r}")
             return cls(
                 lexicon_version=str(obj["lexicon_version"]),
                 corpus_digest=str(obj["corpus_digest"]),
                 report_count=int(obj["report_count"]),
                 by_label_set=by_label_set,
-                impressions=dict(obj["impressions"]),
+                impressions=impressions,
                 negative_pool=negative_pool,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -133,12 +143,22 @@ class RetrievalIndex:
     @classmethod
     def load(cls, path: str,
              lexicon: Optional[Lexicon] = None) -> "RetrievalIndex":
-        index = cls.from_dict(read_json(path, "index"))
+        index = load_json(path, "retrieval index", cls.from_dict)
         if lexicon is not None and index.lexicon_version != lexicon.version:
             raise InputError(
-                f"index lexicon version {index.lexicon_version!r} does not "
-                f"match lexicon version {lexicon.version!r}")
+                f"{path}: index lexicon version {index.lexicon_version!r} "
+                f"does not match lexicon version {lexicon.version!r}")
         return index
+
+
+def _indexed_ids(ids, impressions: dict) -> tuple[str, ...]:
+    """An index entry's study_ids: a non-empty list of indexed studies."""
+    if not isinstance(ids, list) or not ids:
+        raise InputError(f"study_ids must be a non-empty list, got {ids!r}")
+    for study_id in ids:
+        if study_id not in impressions:
+            raise InputError(f"study_id {study_id!r} has no impression")
+    return tuple(ids)
 
 
 def build_index(cleaned_corpus: Sequence[Report],
@@ -262,9 +282,8 @@ def generate_retrieval(request: GenerationRequest, index: RetrievalIndex,
     else:
         key, exact = _fallback_key(index.by_label_set, target), False
     retrieved_id = index.by_label_set[key][0]
-    pieces = [index.impressions[retrieved_id]]
-    pieces.extend(text for _, text in negatives)
-    text = normalize_text(" ".join(piece for piece in pieces if piece))
+    text = join_sentences([index.impressions[retrieved_id]]
+                          + [sentence for _, sentence in negatives])
     return GenerationResult(
         study_id=request.study_id,
         text=text,

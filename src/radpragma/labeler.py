@@ -13,6 +13,7 @@ positive exactly when one of its explicit phrases matches.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from bisect import bisect_right
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Union
 
-from .corpus_io import read_json, write_text_atomic
+from .corpus_io import load_json, write_text_atomic
 from .errors import InputError
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Sentence,
                     normalize_text, segment_sentences)
@@ -212,28 +213,19 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str) -> "Lexicon":
-        obj = read_json(path, "lexicon")
-        try:
-            return cls.from_dict(obj)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return load_json(path, "lexicon", cls.from_dict)
 
     def save(self, path: str) -> None:
         write_text_atomic(
             path, json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
 
-_DEFAULT: Optional[Lexicon] = None
-
-
+@functools.cache
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        text = (resources.files("radpragma") / "data" / "lexicon.json") \
-            .read_text(encoding="utf-8")
-        _DEFAULT = Lexicon.from_dict(json.loads(text))
-    return _DEFAULT
+    text = (resources.files("radpragma") / "data" / "lexicon.json") \
+        .read_text(encoding="utf-8")
+    return Lexicon.from_dict(json.loads(text))
 
 
 def _cue_ends(low: str, scans) -> list[int]:

@@ -13,6 +13,7 @@ prefix, shorter stems (like "ap"/"pa") require exact token equality.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import read_json
+from .corpus_io import load_json
 from .errors import InputError
 from .labeler import Lexicon, default_lexicon, label_report
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Report,
@@ -245,23 +246,15 @@ class KeywordCatalog:
 
     @classmethod
     def load(cls, path: str) -> "KeywordCatalog":
-        obj = read_json(path, "keyword")
-        try:
-            return cls.from_dict(obj)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return load_json(path, "keyword catalog", cls.from_dict)
 
 
-_DEFAULT_CATALOG: Optional[KeywordCatalog] = None
-
-
+@functools.cache
 def default_catalog() -> KeywordCatalog:
-    global _DEFAULT_CATALOG
-    if _DEFAULT_CATALOG is None:
-        text = (resources.files("radpragma") / "data" / "keywords.json") \
-            .read_text(encoding="utf-8")
-        _DEFAULT_CATALOG = KeywordCatalog.from_dict(json.loads(text))
-    return _DEFAULT_CATALOG
+    """The keyword catalog shipped with the package."""
+    text = (resources.files("radpragma") / "data" / "keywords.json") \
+        .read_text(encoding="utf-8")
+    return KeywordCatalog.from_dict(json.loads(text))
 
 
 def hallucination_rate(reports: Sequence[str],

@@ -10,7 +10,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 
 class Condition(Enum):
@@ -195,6 +195,11 @@ def segment_sentences(text: str) -> list[Sentence]:
         start = match.end()
     pieces.append(text[start:])
     return [Sentence(piece, i) for i, piece in enumerate(pieces)]
+
+
+def join_sentences(pieces: Iterable[str]) -> str:
+    """The non-empty ``pieces`` joined with single spaces, normalized."""
+    return normalize_text(" ".join(piece for piece in pieces if piece))
 
 
 _TOKEN = re.compile(r"[a-z0-9]+")

@@ -18,6 +18,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
+from .corpus_io import fits
 from .errors import DegenerateTableError, InputError
 from .model import CONDITIONS, Condition, LabelValue, LabelVector, Report
 
@@ -130,18 +131,12 @@ _FIELD_TYPES = {f.name: f.type
 
 def _numbers(record: dict, names: Sequence[str], prefix: str) -> dict:
     """``record``'s values for ``names``, each checked against its field's
-    type: an int field takes a JSON integer, a float field any JSON number,
-    and only an Optional field takes null."""
+    type (``corpus_io.fits``)."""
     out = {}
     for name in names:
         value = out[name] = record[name]
         declared = _FIELD_TYPES[name]
-        if value is None:
-            valid = "Optional" in declared
-        else:
-            valid = not isinstance(value, bool) and isinstance(
-                value, (int, float) if "float" in declared else int)
-        if not valid:
+        if not fits(declared, value):
             raise InputError(f"invalid corpus summary: field "
                              f"{prefix + name!r} expects {declared}, "
                              f"got {value!r}")

@@ -225,6 +225,20 @@ class TestCleanReport:
             label_report(impression, lexicon)
         assert [a.final for a in audits[-2:]] == [REMOVED, REMOVED]
 
+    @pytest.mark.parametrize("impression, cleaned", [
+        ("Small effusion, as compared with the prior exam.",
+         "Small effusion."),
+        ("Right effusion, status post CABG.", "Right effusion"),
+        ("Stable cardiomegaly, as compared to prior; no effusion.",
+         "Cardiomegaly; no effusion."),
+        ("No pneumonia. New small right pleural effusion, compared to prior.",
+         "No pneumonia. Small right pleural effusion.")])
+    def test_no_comma_is_left_dangling(self, lexicon, pattern, impression,
+                                       cleaned):
+        report = Report(study_id="s", impression=impression)
+        assert clean_report(report, pattern,
+                            lexicon=lexicon).impression == cleaned
+
     def test_no_removed_token_in_output(self, lexicon, pattern):
         for sentence in guard_fixture_sentences(count=60, seed=9):
             report = Report(study_id="s", impression=sentence)

@@ -5,13 +5,54 @@ import threading
 import pytest
 import requests
 
-from pipeline import run_pipeline
+from pipeline import pipeline_steps, run_pipeline
 
 from radpragma.cli import main
 from radpragma.corpus_io import read_labels_csv, read_reports_jsonl
+from radpragma.labeler import default_lexicon
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus.jsonl")
+
+
+def _pools_as_a_list(index):
+    index["negative_pool"] = list(index["negative_pool"].values())
+
+
+def _retrieved_ids_without_impression(index):
+    for entry in index["by_label_set"]:
+        del index["impressions"][entry["study_ids"][0]]
+
+
+def _study_ids_as_a_string(index):
+    for entry in index["by_label_set"]:
+        entry["study_ids"] = entry["study_ids"][0]
+
+
+def _study_ids_empty(index):
+    for entry in index["by_label_set"]:
+        entry["study_ids"] = []
+
+
+def _impressions_not_strings(index):
+    index["impressions"] = dict.fromkeys(index["impressions"], 1)
+
+
+def _pool_texts_not_strings(index):
+    for pool in index["negative_pool"].values():
+        for sentence in pool:
+            sentence["text"] = 1
+
+
+#: A command reading each JSON input from the file BAD.
+_JSON_INPUT_COMMANDS = {
+    "lexicon": ["label", "--in", CORPUS, "--lexicon", "BAD"],
+    "keywords": ["evaluate", "--generated", CORPUS, "--ref-original", CORPUS,
+                 "--ref-clean", CORPUS, "--keywords", "BAD"],
+    "index": ["generate", "--requests", CORPUS, "--index", "BAD"],
+    "shift-a": ["shift", "--a", "BAD", "--b", "BAD"],
+    "config": ["label", "--in", CORPUS, "--config", "BAD"],
+}
 
 
 def _single_error(capsys, *fragments):
@@ -196,6 +237,40 @@ class TestInputErrors:
         _single_error(capsys, "kw.json", named)
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize("defect", [
+        _pools_as_a_list, _retrieved_ids_without_impression,
+        _study_ids_as_a_string, _study_ids_empty, _impressions_not_strings,
+        _pool_texts_not_strings])
+    def test_malformed_index_exits_1(self, tmp_path, capsys, defect):
+        index = tmp_path / "index.json"
+        assert main(["index", "--in", CORPUS, "--out", str(index)]) == 0
+        obj = json.loads(index.read_text())
+        defect(obj)
+        index.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "generated.jsonl"
+        assert main(["generate", "--requests", CORPUS, "--index", str(index),
+                     "--out", str(out)]) == 1
+        _single_error(capsys, f"{index}: invalid retrieval index")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_JSON_INPUT_COMMANDS))
+    @pytest.mark.parametrize("content", ["[1, 2]", "truncated"])
+    def test_bad_json_input_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                    command, content):
+        bad = tmp_path / "input.json"
+        if content == "truncated":
+            content = json.dumps(default_lexicon().to_dict())[:200]
+        bad.write_text(content)
+        out = tmp_path / "out"
+        argv = [str(bad) if arg == "BAD" else arg
+                for arg in _JSON_INPUT_COMMANDS[command]]
+        assert main(argv + ["--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), \
+            lines
+        assert not out.exists()
+
     def test_unknown_condition_exits_1(self, tmp_path, capsys):
         code = main(["chi2", "--in", CORPUS, "--condition", "Emphysema",
                      "--out", str(tmp_path / "chi2.csv")])
@@ -218,6 +293,15 @@ class TestLabelCommand:
 
 
 class TestRunRecord:
+    #: The inputs each command records in its run.json.
+    RUN_INPUTS = {
+        "label": ["in"], "stats": ["in", "labels"], "chi2": ["in", "labels"],
+        "clean": ["backend", "in"], "index": ["in"],
+        "generate": ["index", "mode", "predictions", "requests"],
+        "evaluate": ["generated", "ref_clean", "ref_original",
+                     "ref_original_labels"],
+        "shift": ["a", "b"], "clean-eval": ["machine", "manual", "original"]}
+
     def test_auth_token_is_written_to_no_file(self, tmp_path, monkeypatch,
                                               http_endpoint):
         token = "sekret-4d1e"
@@ -230,30 +314,36 @@ class TestRunRecord:
                          "completion": "No acute process."}
 
         url = http_endpoint(respond)
-        paths = run_pipeline(CORPUS, str(tmp_path))
+        paths, steps = pipeline_steps(CORPUS, str(tmp_path))
         out = str(tmp_path / "out")
         lines = tmp_path / "lines.txt"
         lines.write_text("No pneumonia.\nREMOVED\n")
-        for argv in (
-                ["clean", "--in", CORPUS, "--backend", "remote",
-                 "--clean-endpoint", url, "--out", out + "-clean.jsonl",
-                 "--audit", out + "-clean-audit.jsonl"],
-                ["generate", "--requests", CORPUS, "--mode", "remote",
-                 "--generation-endpoint", url, "--out", out + "-gen.jsonl",
-                 "--audit", out + "-gen-audit.jsonl"],
-                ["shift", "--a", paths["stats.json"], "--b",
-                 paths["stats.json"], "--out", out + "-shift.csv"],
-                ["clean-eval", "--machine", str(lines), "--manual",
-                 str(lines), "--original", str(lines),
-                 "--out", out + "-clean-eval.json"]):
+        steps += [
+            ["clean", "--in", CORPUS, "--backend", "remote",
+             "--clean-endpoint", url, "--out", out + "-clean.jsonl",
+             "--audit", out + "-clean-audit.jsonl"],
+            ["generate", "--requests", CORPUS, "--mode", "remote",
+             "--generation-endpoint", url, "--out", out + "-gen.jsonl",
+             "--audit", out + "-gen-audit.jsonl"],
+            ["shift", "--a", paths["stats.json"], "--b",
+             paths["stats.json"], "--out", out + "-shift.csv"],
+            ["clean-eval", "--machine", str(lines), "--manual",
+             str(lines), "--original", str(lines),
+             "--out", out + "-clean-eval.json"]]
+        for argv in steps:
             assert main(argv) == 0, argv[0]
         assert sent and set(sent) == {f"Bearer {token}"}
         written = [p for p in tmp_path.iterdir() if p.is_file()]
         assert len([p for p in written if p.name.endswith(".run.json")]) == 11
         for path in written:
             assert token.encode() not in path.read_bytes(), path.name
-        run = json.loads((tmp_path / "labels.csv.run.json").read_text())
-        assert run["config"]["auth_token"] is True
+        for argv in steps:
+            run_json = argv[argv.index("--out") + 1] + ".run.json"
+            with open(run_json, encoding="utf-8") as handle:
+                run = json.load(handle)
+            assert run["command"] == argv[0]
+            assert sorted(run["inputs"]) == self.RUN_INPUTS[argv[0]]
+            assert run["config"]["auth_token"] is True
 
 
 class TestPipeline:
