@@ -131,27 +131,46 @@ _HAS_ALNUM = re.compile(r"[a-z0-9]", _I)
 _TERMINAL_PUNCT = (".", "!", "?")
 
 
+#: Per rule id: (keep, kill, productions, fallback kill). A sentence that
+#: ``keep`` matches is kept as it is, and one that ``kill`` matches is
+#: removed. Otherwise the productions rewrite it in order, and the rewrite
+#: is removed if ``fallback kill`` still matches it. A rule without
+#: productions leaves the sentence untouched.
+_RULES = {
+    1: (None, None, _RULE1_PRODUCTIONS, _RULE1_FALLBACK_KILL),
+    2: (None, _RULE2_KILL, (), None),
+    3: (None, _RULE3_KILL, (), None),
+    4: (None, _RULE4_KILL, _RULE4_PRODUCTIONS, _RULE4_FALLBACK_KILL),
+    5: (_ORGAN_CHANGE, None, _RULE5_PRODUCTIONS, None),
+    6: (_ORGAN_CHANGE, None, _RULE6_PRODUCTIONS, None),
+    7: (None, None, _RULE7_PRODUCTIONS, None),
+}
+
+
+def _finish(original: str, result: str, ensure_period: bool) -> str:
+    result = _TIDY_DOUBLE_COMMA.sub(",", result)
+    result = _TIDY_SPACE_BEFORE_PUNCT.sub(r"\1", result)
+    result = _TIDY_DANGLING_COMMA.sub("", normalize_text(result))
+    if not _HAS_ALNUM.search(result):
+        return REMOVED
+    if result != original and result[0].islower():
+        result = result[0].upper() + result[1:]
+    if ensure_period and not result.endswith(_TERMINAL_PUNCT):
+        result += "."
+    return result
+
+
 class PatternBackend:
     """Offline rule realization via ordered phrase-rewrite productions."""
 
     def rewrite(self, rule: CleaningRule, sentence: str) -> str:
-        handler = self._HANDLERS[rule.rule_id]
-        return handler(self, sentence)
-
-    def _finish(self, original: str, result: str,
-                ensure_period: bool) -> str:
-        result = _TIDY_DOUBLE_COMMA.sub(",", result)
-        result = _TIDY_SPACE_BEFORE_PUNCT.sub(r"\1", result)
-        result = _TIDY_DANGLING_COMMA.sub("", normalize_text(result))
-        if not _HAS_ALNUM.search(result):
+        keep, kill, productions, fallback_kill = _RULES[rule.rule_id]
+        if keep and keep.search(sentence):
+            return sentence
+        if kill and kill.search(sentence):
             return REMOVED
-        if result != original and result[0].islower():
-            result = result[0].upper() + result[1:]
-        if ensure_period and not result.endswith(_TERMINAL_PUNCT):
-            result += "."
-        return result
-
-    def _apply_productions(self, sentence: str, productions) -> str:
+        if not productions:
+            return sentence
         result = sentence
         wants_period = False
         for production in productions:
@@ -159,43 +178,10 @@ class PatternBackend:
             if updated != result and production.ensure_period:
                 wants_period = True
             result = updated
-        return self._finish(sentence, result, wants_period)
-
-    def _rule1(self, sentence: str) -> str:
-        result = self._apply_productions(sentence, _RULE1_PRODUCTIONS)
-        if result != REMOVED and _RULE1_FALLBACK_KILL.search(result):
+        result = _finish(sentence, result, wants_period)
+        if fallback_kill and fallback_kill.search(result):
             return REMOVED
         return result
-
-    def _rule2(self, sentence: str) -> str:
-        return REMOVED if _RULE2_KILL.search(sentence) else sentence
-
-    def _rule3(self, sentence: str) -> str:
-        return REMOVED if _RULE3_KILL.search(sentence) else sentence
-
-    def _rule4(self, sentence: str) -> str:
-        if _RULE4_KILL.match(sentence):
-            return REMOVED
-        result = self._apply_productions(sentence, _RULE4_PRODUCTIONS)
-        if result != REMOVED and _RULE4_FALLBACK_KILL.search(result):
-            return REMOVED
-        return result
-
-    def _rule5(self, sentence: str) -> str:
-        if _ORGAN_CHANGE.search(sentence):
-            return sentence
-        return self._apply_productions(sentence, _RULE5_PRODUCTIONS)
-
-    def _rule6(self, sentence: str) -> str:
-        if _ORGAN_CHANGE.search(sentence):
-            return sentence
-        return self._apply_productions(sentence, _RULE6_PRODUCTIONS)
-
-    def _rule7(self, sentence: str) -> str:
-        return self._apply_productions(sentence, _RULE7_PRODUCTIONS)
-
-    _HANDLERS = {1: _rule1, 2: _rule2, 3: _rule3, 4: _rule4, 5: _rule5,
-                 6: _rule6, 7: _rule7}
 
 
 def http_session() -> requests.Session:

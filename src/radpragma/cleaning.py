@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
-from .labeler import Lexicon, default_lexicon, label_sentence
+from .labeler import Lexicon, label_sentence
 from .model import (LabelVector, Report, join_sentences, normalize_text,
                     segment_sentences, stem_pattern)
 
@@ -179,7 +179,6 @@ def clean_sentence_audited(sentence: str,
     ``rules`` must be ordered by unique id; ``clean_sentence`` and
     ``clean_report_audited`` check that once per call.
     """
-    lexicon = lexicon or default_lexicon()
     current = normalize_text(sentence)
     outcomes: list[RuleOutcome] = []
     if current == REMOVED or not current:
@@ -248,7 +247,6 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
     Indication, study_id, and findings pass through untouched. The guard
     guarantees the cleaned impression relabels identically to the original.
     """
-    lexicon = lexicon or default_lexicon()
     rules = _check_rule_order(rules)
     audits: list[SentenceAudit] = []
     kept: list[str] = []
@@ -292,7 +290,6 @@ def evaluate_cleaning(machine_cleaned: Sequence[str],
             f"cleaning evaluation inputs misaligned: "
             f"{len(machine_cleaned)} machine, {len(manual_cleaned)} manual, "
             f"{len(originals)} original sentences")
-    lexicon = lexicon or default_lexicon()
 
     def labels_of(text: str) -> LabelVector:
         if normalize_text(text) == REMOVED:

@@ -65,33 +65,17 @@ _LIMITS = {
 }
 
 
-def _kind(name: str) -> type:
-    """The scalar type of a Config field: int, float or str."""
+def _checked(name: str, value, source: str, given=None):
+    """``value`` if it fits Config field ``name`` and its limit, else an
+    InputError: ``<source>: expected <what>, got <given>``, where ``given``
+    (by default ``value``) is the value as the source wrote it."""
     declared = _FIELD_TYPES[name]
-    return int if "int" in declared else float if "float" in declared else str
-
-
-def _expected(name: str) -> str:
-    """What a Config field takes, for error messages."""
-    if name in _LIMITS:
-        return _LIMITS[name][1]
-    return _kind(name).__name__
-
-
-def _allowed(name: str, value) -> bool:
-    return name not in _LIMITS or _LIMITS[name][0](value)
-
-
-def _coerce(name: str, raw: str):
-    try:
-        value = _kind(name)(raw)
-    except ValueError:
-        pass
-    else:
-        if _allowed(name, value):
-            return value
-    raise InputError(f"{ENV_PREFIX}{name.upper()}: expected "
-                     f"{_expected(name)}, got {raw!r}")
+    test, expected = _LIMITS.get(
+        name, (lambda v: True, corpus_io.kind(declared).__name__))
+    if corpus_io.fits(declared, value) and test(value):
+        return value
+    raise InputError(f"{source}: expected {expected}, got "
+                     f"{value if given is None else given!r}")
 
 
 def _file_values(values: dict) -> dict:
@@ -99,10 +83,7 @@ def _file_values(values: dict) -> dict:
     for name, value in values.items():
         if name not in _FIELD_TYPES:
             raise InputError(f"unknown config key {name!r}")
-        if not (corpus_io.fits(_FIELD_TYPES[name], value)
-                and _allowed(name, value)):
-            raise InputError(f"config key {name!r} expects "
-                             f"{_expected(name)}, got {value!r}")
+        _checked(name, value, f"config key {name!r}")
     return values
 
 
@@ -110,19 +91,21 @@ def resolve_config(args: argparse.Namespace) -> Config:
     path = getattr(args, "config", None)
     config = (Config(**corpus_io.load_json(path, "config", _file_values))
               if path else Config())
-    for name in _FIELD_TYPES:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
+    for name, declared in _FIELD_TYPES.items():
+        variable = ENV_PREFIX + name.upper()
+        raw = os.environ.get(variable)
         if raw is not None:
-            setattr(config, name, _coerce(name, raw))
+            try:
+                value = corpus_io.kind(declared)(raw)
+            except ValueError:
+                value = raw
+            setattr(config, name, _checked(name, value, variable, raw))
     for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
-            if not _allowed(name, value):
-                flag = ("--threshold" if name == "shift_threshold"
-                        else "--" + name.replace("_", "-"))
-                raise InputError(f"{flag}: expected {_expected(name)}, "
-                                 f"got {value!r}")
-            setattr(config, name, value)
+            flag = ("--threshold" if name == "shift_threshold"
+                    else "--" + name.replace("_", "-"))
+            setattr(config, name, _checked(name, value, flag))
     return config
 
 

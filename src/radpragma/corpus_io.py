@@ -60,6 +60,12 @@ def _report_from_obj(obj: dict, where: str) -> Report:
     findings = obj.get("findings")
     if findings is not None and not isinstance(findings, str):
         raise InputError(f"{where}: field 'findings' must be a string")
+    for field in ("study_id", "impression", "indication", "findings"):
+        try:
+            (obj.get(field) or "").encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"{where}: field {field!r} holds a lone "
+                             f"surrogate, which UTF-8 cannot encode") from None
     return Report(study_id=obj["study_id"], impression=obj["impression"],
                   indication=indication, findings=findings)
 
@@ -74,15 +80,23 @@ def open_utf8(path: str, newline=None):
         raise InputError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
+def _decode(text: str, context: str):
+    """``json.loads(text)``; a parse error, too deep a nesting included, is
+    an InputError that begins with ``context``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        problem = exc.msg
+    except RecursionError:
+        problem = "nested too deeply"
+    raise InputError(f"{context}: {problem}")
+
+
 def load_json(path: str, what: str, parse: Callable[[dict], _T]) -> _T:
     """``parse(obj)`` for the JSON object ``obj`` at ``path``. Every error,
     ``parse``'s included, names the file; ``what`` names the document."""
     with open_utf8(path) as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid {what} JSON: {exc.msg}") \
-                from None
+        obj = _decode(handle.read(), f"{path}: invalid {what} JSON")
     if not isinstance(obj, dict):
         raise InputError(f"{path}: {what} must be a JSON object")
     try:
@@ -91,14 +105,20 @@ def load_json(path: str, what: str, parse: Callable[[dict], _T]) -> _T:
         raise InputError(f"{path}: {exc}") from None
 
 
+def kind(declared: str) -> type:
+    """The scalar type of a dataclass field annotated ``declared``: int,
+    float or str."""
+    return int if "int" in declared else float if "float" in declared else str
+
+
 def fits(declared: str, value) -> bool:
     """Whether a JSON value fits a dataclass field annotated ``declared``: an
     int takes integers, a float any number, a str strings, Optional null."""
     if value is None:
         return "Optional" in declared
-    kind = (int if "int" in declared else (int, float) if "float" in declared
-            else str)
-    return not isinstance(value, bool) and isinstance(value, kind)
+    scalar = kind(declared)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if scalar is float else scalar)
 
 
 def write_json(path: str, obj) -> None:
@@ -115,10 +135,7 @@ def read_reports_jsonl(path: str) -> list[Report]:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{where}: invalid JSON: {exc.msg}") from None
+            obj = _decode(line, f"{where}: invalid JSON")
             report = _report_from_obj(obj, where)
             if report.study_id in seen:
                 raise InputError(

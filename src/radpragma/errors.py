@@ -12,7 +12,8 @@ class DegenerateTableError(ValueError):
 class BackendError(RuntimeError):
     """A remote backend call failed (transport, HTTP status, or bad payload).
 
-    Carries enough context to locate the failing unit of work.
+    Carries enough context to locate the failing unit of work; once a
+    sentence index is set, the message names the study, sentence and rule.
     """
 
     def __init__(self, message, *, rule_id=None, sentence_index=None,
@@ -22,3 +23,10 @@ class BackendError(RuntimeError):
         self.sentence_index = sentence_index
         self.study_id = study_id
         self.endpoint = endpoint
+
+    def __str__(self):
+        message = super().__str__()
+        if self.sentence_index is None:
+            return message
+        return (f"{message} (study_id {self.study_id!r}, sentence "
+                f"{self.sentence_index}, rule {self.rule_id})")

@@ -261,7 +261,6 @@ def generate_retrieval(request: GenerationRequest, index: RetrievalIndex,
     """
     if not index.by_label_set:
         raise InputError("retrieval index is empty")
-    lexicon = lexicon or default_lexicon()
     mentioned = indication_mentions(request.indication, lexicon)
     negatives: list[tuple[Condition, str]] = []
     pool_empty: list[Condition] = []

@@ -293,7 +293,6 @@ def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:
 
 def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Segment text into sentences, label each, and aggregate."""
-    lexicon = lexicon or default_lexicon()
     return aggregate_labels(label_sentence(s, lexicon)
                             for s in segment_sentences(text))
 
@@ -308,13 +307,11 @@ def indication_mentions(indication: str,
 def label_corpus(reports, lexicon: Optional[Lexicon] = None,
                  ) -> dict[str, LabelVector]:
     """Label every report's impression, keyed by study_id."""
-    lexicon = lexicon or default_lexicon()
     return {r.study_id: label_report(r.impression, lexicon) for r in reports}
 
 
 def indication_mention_sets(reports, lexicon: Optional[Lexicon] = None,
                             ) -> dict[str, frozenset[Condition]]:
     """Indication mention sets for every report, keyed by study_id."""
-    lexicon = lexicon or default_lexicon()
     return {r.study_id: indication_mentions(r.indication, lexicon)
             for r in reports}

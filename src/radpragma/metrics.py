@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 from .corpus_io import load_json
 from .errors import InputError
-from .labeler import Lexicon, default_lexicon, label_report
+from .labeler import Lexicon, label_report
 from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Report,
                     normalize_text, stem_pattern, tokenize)
 
@@ -109,15 +109,18 @@ def _label_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
                  for hit, truth in zip(hits, truths))
         per_condition[condition] = ConditionF1(
             tp, hits.count(target) - tp, truths.count(target) - tp)
+    return _average(per_condition, average), per_condition
+
+
+def _average(counts: Mapping[Condition, ConditionF1], average: str) -> float:
+    """The macro or micro F1 of per-condition counts, summed in their
+    order."""
     if average == "macro":
-        score = (sum(s.f1 for s in per_condition.values()) / len(per_condition)
-                 if per_condition else 0.0)
-    else:
-        pooled = ConditionF1(sum(s.tp for s in per_condition.values()),
-                             sum(s.fp for s in per_condition.values()),
-                             sum(s.fn for s in per_condition.values()))
-        score = pooled.f1
-    return score, per_condition
+        return (sum(s.f1 for s in counts.values()) / len(counts)
+                if counts else 0.0)
+    return ConditionF1(sum(s.tp for s in counts.values()),
+                       sum(s.fp for s in counts.values()),
+                       sum(s.fn for s in counts.values())).f1
 
 
 def positive_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
@@ -294,10 +297,10 @@ class MetricsReport:
     neg_f1_5_conditions: tuple[Condition, ...]
     per_condition_pos: tuple[tuple[Condition, ConditionF1], ...]
     per_condition_neg: tuple[tuple[Condition, ConditionF1], ...]
-    support: tuple[tuple[Condition, tuple[int, int]], ...]
     average: str
 
     def to_dict(self) -> dict:
+        pos, neg = dict(self.per_condition_pos), dict(self.per_condition_neg)
         return {
             "pos_f1": self.pos_f1,
             "pos_f1_5": self.pos_f1_5,
@@ -310,12 +313,9 @@ class MetricsReport:
             "pos_f1_5_conditions": [c.value for c in self.pos_f1_5_conditions],
             "neg_f1_5_conditions": [c.value for c in self.neg_f1_5_conditions],
             "per_condition": {
-                c.value: {
-                    "pos_f1": dict(self.per_condition_pos)[c].f1,
-                    "neg_f1": dict(self.per_condition_neg)[c].f1,
-                    "support_positive": dict(self.support)[c][0],
-                    "support_negative": dict(self.support)[c][1],
-                }
+                c.value: {"pos_f1": pos[c].f1, "neg_f1": neg[c].f1,
+                          "support_positive": pos[c].support,
+                          "support_negative": neg[c].support}
                 for c in SCORABLE_CONDITIONS
             },
             "average": self.average,
@@ -327,16 +327,17 @@ def most_frequent_positive_conditions(
     """The k conditions most often positive in the references; ties break in
     canonical order. Falls back to the shipped default when the references
     carry no positive mentions at all."""
-    counts = {c: 0 for c in SCORABLE_CONDITIONS}
-    for vector in ref.values():
-        for condition in vector.positives():
-            if not condition.is_no_finding:
-                counts[condition] += 1
-    if not any(counts.values()):
+    return _most_supported(positive_f1(ref, ref)[1], k)
+
+
+def _most_supported(counts: Mapping[Condition, ConditionF1],
+                    k: int = 5) -> tuple[Condition, ...]:
+    """The k conditions with the most support in ``counts``, the positive
+    counts of every scorable condition in canonical order; the sort is
+    stable, so ties stay in canonical order."""
+    if not any(s.support for s in counts.values()):
         return POSITIVE_F1_5_DEFAULT
-    order = {c: i for i, c in enumerate(CONDITIONS)}
-    ranked = sorted(counts, key=lambda c: (-counts[c], order[c]))
-    return tuple(ranked[:k])
+    return tuple(sorted(counts, key=lambda c: -counts[c].support)[:k])
 
 
 def evaluate_generation(generated: Sequence[Report],
@@ -354,8 +355,6 @@ def evaluate_generation(generated: Sequence[Report],
     references (or ``reference_labels`` when provided); BLEU-2 runs against
     the originals and Clean BLEU-2 against the cleaned references.
     """
-    lexicon = lexicon or default_lexicon()
-    catalog = catalog or default_catalog()
     gen_by_id = {r.study_id: r for r in generated}
     orig_by_id = {r.study_id: r for r in reference_original}
     clean_by_id = {r.study_id: r for r in reference_clean}
@@ -373,25 +372,17 @@ def evaluate_generation(generated: Sequence[Report],
         ref_labels = {i: label_report(orig_by_id[i].impression, lexicon)
                       for i in ids}
 
-    pos_five = most_frequent_positive_conditions(ref_labels)
-    pos_score, pos_per = positive_f1(gen_labels, ref_labels,
-                                     SCORABLE_CONDITIONS, average)
-    pos5_score, _ = positive_f1(gen_labels, ref_labels, pos_five, average)
-    neg_score, neg_per = negative_f1(gen_labels, ref_labels,
-                                     SCORABLE_CONDITIONS, average)
-    neg5_score, _ = negative_f1(gen_labels, ref_labels, NEGATIVE_F1_5, average)
+    pos_score, pos_per = positive_f1(gen_labels, ref_labels, average=average)
+    neg_score, neg_per = negative_f1(gen_labels, ref_labels, average=average)
+    pos_five = _most_supported(pos_per)
+    pos5_score = _average({c: pos_per[c] for c in pos_five}, average)
+    neg5_score = _average({c: neg_per[c] for c in NEGATIVE_F1_5}, average)
 
     gen_texts = [gen_by_id[i].impression for i in ids]
     bleu = bleu2(gen_texts, [orig_by_id[i].impression for i in ids])
     clean_bleu = bleu2(gen_texts, [clean_by_id[i].impression for i in ids])
     rate, by_category = hallucination_rate(gen_texts, catalog)
 
-    ref_columns = _columns(ref_labels, ids)
-    support = tuple(
-        (c, (column.count(LabelValue.POSITIVE),
-             column.count(LabelValue.NEGATIVE)))
-        for c, column in zip(CONDITIONS, ref_columns)
-        if not c.is_no_finding)
     return MetricsReport(
         pos_f1=pos_score, pos_f1_5=pos5_score,
         neg_f1=neg_score, neg_f1_5=neg5_score,
@@ -402,7 +393,6 @@ def evaluate_generation(generated: Sequence[Report],
         neg_f1_5_conditions=NEGATIVE_F1_5,
         per_condition_pos=tuple(pos_per.items()),
         per_condition_neg=tuple(neg_per.items()),
-        support=support,
         average=average,
     )
 

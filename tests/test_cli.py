@@ -187,6 +187,25 @@ class TestInputErrors:
         assert self._clean_remote(tmp_path, "--jobs", "0") == 1
         _single_error(capsys, "--jobs", ">= 1")
 
+    @pytest.mark.parametrize("source", ["config", "env", "flag"])
+    def test_jobs_zero_from_each_source_exits_1(self, tmp_path, capsys,
+                                                monkeypatch, source):
+        # Every source reports a bad value as <source>: expected <what>,
+        # got <value>.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 0}))
+        extra, where = {
+            "config": (["--config", str(config)],
+                       f"{config}: config key 'jobs'"),
+            "env": ([], "RADPRAGMA_JOBS"),
+            "flag": (["--jobs", "0"], "--jobs"),
+        }[source]
+        if source == "env":
+            monkeypatch.setenv("RADPRAGMA_JOBS", "0")
+        assert self._clean_remote(tmp_path, *extra) == 1
+        _single_error(capsys, f"error: {where}: expected an integer >= 1, "
+                              "got ")
+
     def test_generate_remote_zero_timeout_exits_1(self, tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.setenv("RADPRAGMA_TIMEOUT", "0")
@@ -269,6 +288,38 @@ class TestInputErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), \
             lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_JSON_INPUT_COMMANDS))
+    def test_deeply_nested_json_input_exits_1_naming_the_file(
+            self, tmp_path, capsys, command):
+        bad = tmp_path / "input.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "out"
+        argv = [str(bad) if arg == "BAD" else arg
+                for arg in _JSON_INPUT_COMMANDS[command]]
+        assert main(argv + ["--out", str(out)]) == 1
+        _single_error(capsys, f"error: {bad}: ", "nested too deeply")
+        assert not out.exists()
+
+    def test_deeply_nested_report_exits_1_naming_the_line(self, tmp_path,
+                                                           capsys):
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text('{"study_id": "a", "impression": '
+                       + "[" * 100000 + "]" * 100000 + "}\n")
+        out = tmp_path / "labels.csv"
+        assert main(["label", "--in", str(bad), "--out", str(out)]) == 1
+        _single_error(capsys, f"error: {bad}:1: ", "nested too deeply")
+        assert not out.exists()
+
+    def test_lone_surrogate_in_report_exits_1_naming_the_field(
+            self, tmp_path, capsys):
+        bad = tmp_path / "sur.jsonl"
+        bad.write_text('{"study_id": "a", "impression": "No edema \\ud800."}'
+                       '\n')
+        out = tmp_path / "cleaned.jsonl"
+        assert main(["clean", "--in", str(bad), "--out", str(out)]) == 1
+        _single_error(capsys, f"error: {bad}:1: field 'impression' ")
         assert not out.exists()
 
     def test_unknown_condition_exits_1(self, tmp_path, capsys):
@@ -580,6 +631,33 @@ class TestRemoteFailures:
                      "--out", str(tmp_path / "generated.jsonl")])
         assert code == 2
         assert not (tmp_path / "generated.jsonl").exists()
+
+    def test_clean_remote_failure_names_study_sentence_and_rule(
+            self, tmp_path, capsys, http_endpoint):
+        url = http_endpoint(lambda body, handler: (500, {}))
+        corpus = tmp_path / "corpus.jsonl"
+        # Only the second sentence triggers a rule: rule 3, recommendations.
+        corpus.write_text(json.dumps({"study_id": "s7", "impression":
+                                      "No edema. Recommend CT."}) + "\n")
+        out = tmp_path / "cleaned.jsonl"
+        code = main(["clean", "--in", str(corpus), "--backend", "remote",
+                     "--clean-endpoint", url, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        _single_error(capsys, url, "HTTP 500", "study_id 's7'",
+                      "sentence 1", "rule 3")
+
+    def test_generate_remote_failure_names_its_request_once(
+            self, tmp_path, capsys, http_endpoint):
+        url = http_endpoint(lambda body, handler: (500, {}))
+        code = main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", url,
+                     "--out", str(tmp_path / "generated.jsonl")])
+        assert code == 2
+        first = read_reports_jsonl(CORPUS)[0].study_id
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "HTTP 500" in lines[0], lines
+        assert lines[0].count(repr(first)) == 1
 
     def test_generate_remote_against_mock_endpoint(self, tmp_path,
                                                    http_endpoint):

@@ -1,5 +1,5 @@
-"""Checks on how the package loads and on the names the benchmark's tracer
-wraps."""
+"""Checks on how the package loads, on the names the benchmark's tracer
+wraps, and that no module keeps an import or private name it never reads."""
 
 import ast
 import importlib
@@ -15,7 +15,8 @@ import radpragma
 from pipeline import pipeline_steps
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(radpragma.__file__)))
+PACKAGE = os.path.dirname(os.path.abspath(radpragma.__file__))
+SRC = os.path.dirname(PACKAGE)
 CORPUS = os.path.join(ROOT, "tests", "fixtures", "corpus.jsonl")
 
 #: What ``radpragma/__init__.py`` exported when it still imported every
@@ -163,3 +164,40 @@ def test_every_traced_name_resolves():
             owner = getattr(owner, owner_path)
         assert attr in vars(owner), f"{module_name}.{path}"
         assert callable(getattr(owner, attr)), f"{module_name}.{path}"
+
+
+def _unread_names(path):
+    """The imports and module-level private names of the module at ``path``
+    that nothing in it reads."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    bound = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            bound |= {(alias.asname or alias.name).split(".")[0]
+                      for alias in node.names}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [name.id for target in targets
+                     for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        bound |= {name for name in names
+                  if name.startswith("_") and not name.startswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(PACKAGE) if name.endswith(".py")))
+def test_every_import_and_private_name_is_read(module):
+    # The repository has no linter; this catches an import or a private
+    # helper a change leaves behind.
+    assert _unread_names(os.path.join(PACKAGE, module)) == []

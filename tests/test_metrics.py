@@ -305,9 +305,13 @@ class TestEvaluateGeneration:
     def test_support_counts(self):
         reports = identity_corpus()
         result = evaluate_generation(reports, reports, reports)
-        support = dict(result.support)
+        pos = dict(result.per_condition_pos)
+        neg = dict(result.per_condition_neg)
+        per_condition = result.to_dict()["per_condition"]
         for condition in SCORABLE:
-            assert support[condition] == (1, 1)
+            assert (pos[condition].support, neg[condition].support) == (1, 1)
+            row = per_condition[condition.value]
+            assert (row["support_positive"], row["support_negative"]) == (1, 1)
 
     def test_planted_errors_match_independent_oracle(self):
         rng = random.Random(42)

@@ -180,6 +180,28 @@ class TestReportJsonl:
         with pytest.raises(InputError, match="duplicate study_id"):
             read_reports_jsonl(str(path))
 
+    def test_deeply_nested_value_names_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"study_id":"s1","impression":"ok"}\n'
+                        '{"study_id":"s2","impression":'
+                        + "[" * 100000 + "]" * 100000 + "}\n")
+        with pytest.raises(InputError,
+                           match=r"deep\.jsonl:2: invalid JSON: nested"):
+            read_reports_jsonl(str(path))
+
+    @pytest.mark.parametrize("field", ["study_id", "impression",
+                                       "indication"])
+    def test_lone_surrogate_names_field(self, tmp_path, field):
+        # UTF-8 cannot encode a lone surrogate, so writing it would fail.
+        obj = {"study_id": "s1", "impression": "No edema.",
+               "indication": "Cough."}
+        obj[field] += "\ud800"
+        path = tmp_path / "sur.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(InputError,
+                           match=rf"sur\.jsonl:1: field '{field}' "):
+            read_reports_jsonl(str(path))
+
 
 def _vector(**kwargs):
     return label_vector(
