@@ -226,7 +226,8 @@ def post_json(session: requests.Session, endpoint: str, payload: dict,
         raise failure(f"returned HTTP {response.status_code}")
     try:
         value = response.json()[key]
-    except (ValueError, KeyError, TypeError):  # TypeError: not an object
+    # TypeError: not an object; RecursionError: nested too deeply.
+    except (ValueError, KeyError, TypeError, RecursionError):
         raise failure(f"returned a payload without {key!r}") from None
     if not isinstance(value, str):
         raise failure(f"returned a non-string {noun}")

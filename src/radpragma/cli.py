@@ -26,7 +26,7 @@ from . import corpus_io, metrics
 from .errors import BackendError, DegenerateTableError, InputError
 from .labeler import (Lexicon, default_lexicon, indication_mention_sets,
                       label_corpus)
-from .model import CONDITIONS, Condition, Report
+from .model import SCORABLE_CONDITIONS, Report
 
 if TYPE_CHECKING:
     from . import generator, stats
@@ -109,6 +109,16 @@ def resolve_config(args: argparse.Namespace) -> Config:
     return config
 
 
+def _endpoint(config: Config, name: str, what: str) -> str:
+    """Config field ``name``, the endpoint that ``what`` requires."""
+    endpoint = getattr(config, name)
+    if not endpoint:
+        raise InputError(
+            f"{what} requires an endpoint (flag --{name.replace('_', '-')}, "
+            f"env {ENV_PREFIX}{name.upper()}, or config file)")
+    return endpoint
+
+
 def _load_lexicon(config: Config) -> Lexicon:
     if config.lexicon:
         return Lexicon.load(config.lexicon)
@@ -119,12 +129,6 @@ def _load_catalog(config: Config) -> metrics.KeywordCatalog:
     if config.keywords:
         return metrics.KeywordCatalog.load(config.keywords)
     return metrics.default_catalog()
-
-
-def _write_jsonl(path: str, records) -> None:
-    corpus_io.write_text_atomic(
-        path, "".join(json.dumps(record, ensure_ascii=False, sort_keys=True)
-                      + "\n" for record in records))
 
 
 def _write_run_config(primary_out: Optional[str], command: str,
@@ -228,14 +232,14 @@ def cmd_stats(args, config: Config) -> dict:
 
 def cmd_chi2(args, config: Config) -> dict:
     from . import stats
-    corpus, labels, mentions = _labeled_corpus(args, config)
+    conditions = SCORABLE_CONDITIONS
     if args.condition:
-        try:
-            conditions = [Condition.from_name(args.condition)]
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    else:
-        conditions = [c for c in CONDITIONS if not c.is_no_finding]
+        by_name = {c.value: c for c in SCORABLE_CONDITIONS}
+        if args.condition not in by_name:
+            raise InputError(f"unknown condition {args.condition!r}: "
+                             f"--condition takes one of {', '.join(by_name)}")
+        conditions = [by_name[args.condition]]
+    corpus, labels, mentions = _labeled_corpus(args, config)
     rows = [["condition", "p_in", "p_out", "statistic", "p_value",
              "significant"]]
     for condition in conditions:
@@ -286,21 +290,18 @@ def cmd_clean(args, config: Config) -> dict:
 
     if args.backend == "pattern":
         results = clean_all(backends.PatternBackend(), 1)
-    elif not config.clean_endpoint:
-        raise InputError(
-            "remote cleaning backend requires an endpoint (flag "
-            "--clean-endpoint, env RADPRAGMA_CLEAN_ENDPOINT, or config file)")
     else:
         with backends.RemoteRewriteBackend(
-                config.clean_endpoint, auth_token=config.auth_token,
-                timeout=config.timeout, retries=config.retries) as backend:
+                _endpoint(config, "clean_endpoint", "remote cleaning backend"),
+                auth_token=config.auth_token, timeout=config.timeout,
+                retries=config.retries) as backend:
             results = clean_all(backend, config.jobs)
     corpus_io.write_reports_jsonl([report for report, _ in results], args.out)
     if args.audit:
-        _write_jsonl(args.audit,
-                     ({"study_id": report.study_id, **audit.to_dict()}
-                      for report, (_, audits) in zip(corpus, results)
-                      for audit in audits))
+        corpus_io.write_jsonl(
+            args.audit, ({"study_id": report.study_id, **audit.to_dict()}
+                         for report, (_, audits) in zip(corpus, results)
+                         for audit in audits), sort_keys=True)
     return {"in": args.infile, "backend": args.backend}
 
 
@@ -344,13 +345,9 @@ def _build_requests(args) -> list[generator.GenerationRequest]:
                    if args.predictions else {})
     requests_out = []
     for report in reports:
-        if args.predictions:
-            if report.study_id not in predictions:
-                raise InputError(
-                    f"no prediction row for study_id {report.study_id!r}")
-            positives = predictions[report.study_id]
-        else:
-            positives = frozenset()
+        positives = (corpus_io.lookup(predictions, report.study_id,
+                                      "prediction row")
+                     if args.predictions else frozenset())
         try:
             requests_out.append(GenerationRequest(
                 study_id=report.study_id, indication=report.indication,
@@ -371,17 +368,14 @@ def cmd_generate(args, config: Config) -> dict:
         results = [generator.generate_retrieval(request, index, lexicon)
                    for request in requests_in]
     else:
-        if not config.generation_endpoint:
-            raise InputError(
-                "remote generation requires an endpoint (flag "
-                "--generation-endpoint, env RADPRAGMA_GENERATION_ENDPOINT, "
-                "or config file)")
+        endpoint = _endpoint(config, "generation_endpoint",
+                             "remote generation")
         from .backends import http_session
         with http_session() as session:
 
             def work(request):
                 return generator.generate_remote(
-                    request, config.generation_endpoint,
+                    request, endpoint,
                     auth_token=config.auth_token, timeout=config.timeout,
                     session=session)
 
@@ -392,7 +386,8 @@ def cmd_generate(args, config: Config) -> dict:
                for request, result in zip(requests_in, results)]
     corpus_io.write_reports_jsonl(reports, args.out)
     if args.audit:
-        _write_jsonl(args.audit, (result.audit_dict() for result in results))
+        corpus_io.write_jsonl(args.audit, (r.audit_dict() for r in results),
+                              sort_keys=True)
     return {"requests": args.requests, "index": args.index,
             "predictions": args.predictions, "mode": args.mode}
 

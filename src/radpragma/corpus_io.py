@@ -60,12 +60,6 @@ def _report_from_obj(obj: dict, where: str) -> Report:
     findings = obj.get("findings")
     if findings is not None and not isinstance(findings, str):
         raise InputError(f"{where}: field 'findings' must be a string")
-    for field in ("study_id", "impression", "indication", "findings"):
-        try:
-            (obj.get(field) or "").encode("utf-8")
-        except UnicodeEncodeError:
-            raise InputError(f"{where}: field {field!r} holds a lone "
-                             f"surrogate, which UTF-8 cannot encode") from None
     return Report(study_id=obj["study_id"], impression=obj["impression"],
                   indication=indication, findings=findings)
 
@@ -80,23 +74,35 @@ def open_utf8(path: str, newline=None):
         raise InputError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
-def _decode(text: str, context: str):
-    """``json.loads(text)``; a parse error, too deep a nesting included, is
-    an InputError that begins with ``context``."""
+def _decode(text: str, where: str, what: str = "JSON"):
+    """``json.loads(text)``. A parse error, too deep a nesting included, is
+    an InputError ``<where>: invalid <what>: <problem>``. An object field
+    holding a lone surrogate, which no output could encode as UTF-8, is an
+    InputError that names the field."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
+        # Only a \u escape decodes to a lone surrogate.
+        if isinstance(obj, dict) and "\\u" in text:
+            for key, value in obj.items():
+                try:
+                    json.dumps([key, value], ensure_ascii=False).encode()
+                except UnicodeEncodeError:
+                    raise InputError(
+                        f"{where}: field {key!r} holds a lone surrogate, "
+                        f"which UTF-8 cannot encode") from None
+        return obj
     except json.JSONDecodeError as exc:
         problem = exc.msg
     except RecursionError:
         problem = "nested too deeply"
-    raise InputError(f"{context}: {problem}")
+    raise InputError(f"{where}: invalid {what}: {problem}")
 
 
 def load_json(path: str, what: str, parse: Callable[[dict], _T]) -> _T:
     """``parse(obj)`` for the JSON object ``obj`` at ``path``. Every error,
     ``parse``'s included, names the file; ``what`` names the document."""
     with open_utf8(path) as handle:
-        obj = _decode(handle.read(), f"{path}: invalid {what} JSON")
+        obj = _decode(handle.read(), path, f"{what} JSON")
     if not isinstance(obj, dict):
         raise InputError(f"{path}: {what} must be a JSON object")
     try:
@@ -121,6 +127,14 @@ def fits(declared: str, value) -> bool:
         value, (int, float) if scalar is float else scalar)
 
 
+def lookup(mapping: Mapping[str, _T], study_id: str, what: str) -> _T:
+    """``mapping[study_id]``, or an InputError saying ``what`` is missing."""
+    try:
+        return mapping[study_id]
+    except KeyError:
+        raise InputError(f"missing {what} for study_id {study_id!r}") from None
+
+
 def write_json(path: str, obj) -> None:
     """Write ``obj`` as indented JSON with sorted keys."""
     write_text_atomic(path, json.dumps(obj, ensure_ascii=False,
@@ -135,7 +149,7 @@ def read_reports_jsonl(path: str) -> list[Report]:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            obj = _decode(line, f"{where}: invalid JSON")
+            obj = _decode(line, where)
             report = _report_from_obj(obj, where)
             if report.study_id in seen:
                 raise InputError(
@@ -145,19 +159,20 @@ def read_reports_jsonl(path: str) -> list[Report]:
     return reports
 
 
-def reports_jsonl_text(reports: Iterable[Report]) -> str:
-    lines = []
-    for report in reports:
-        obj = {"study_id": report.study_id, "indication": report.indication,
-               "impression": report.impression}
-        if report.findings is not None:
-            obj["findings"] = report.findings
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+def write_jsonl(path: str, records: Iterable[dict],
+                sort_keys: bool = False) -> None:
+    """Write one JSON object per line."""
+    write_text_atomic(path, "".join(
+        json.dumps(record, ensure_ascii=False, sort_keys=sort_keys) + "\n"
+        for record in records))
 
 
 def write_reports_jsonl(reports: Iterable[Report], path: str) -> None:
-    write_text_atomic(path, reports_jsonl_text(reports))
+    write_jsonl(path, (
+        {"study_id": r.study_id, "indication": r.indication,
+         "impression": r.impression}
+        | ({} if r.findings is None else {"findings": r.findings})
+        for r in reports))
 
 
 _LABEL_HEADER = ["study_id"] + [c.value for c in CONDITIONS]
@@ -218,12 +233,8 @@ def csv_text(rows: Iterable[Iterable]) -> str:
     return buffer.getvalue()
 
 
-def labels_csv_text(labels: Mapping[str, LabelVector]) -> str:
-    return csv_text([_LABEL_HEADER] + [
-        [study_id] + [v.to_csv() for v in vector.values]
-        for study_id, vector in labels.items()])
-
-
 def write_labels_csv(labels: Mapping[str, LabelVector], path: str) -> None:
-    write_text_atomic(path, labels_csv_text(labels))
+    write_text_atomic(path, csv_text([_LABEL_HEADER] + [
+        [study_id] + [v.to_csv() for v in vector.values]
+        for study_id, vector in labels.items()]))
 

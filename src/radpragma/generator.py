@@ -21,8 +21,8 @@ from .corpus_io import load_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
                       indication_mentions, label_sentence)
-from .model import (CONDITIONS, Condition, LabelValue, Report, join_sentences,
-                    normalize_text, segment_sentences)
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
+                    Report, join_sentences, normalize_text, segment_sentences)
 
 if TYPE_CHECKING:
     import requests
@@ -174,8 +174,8 @@ def build_index(cleaned_corpus: Sequence[Report],
     lexicon = lexicon or default_lexicon()
     by_label_set: dict[frozenset, list[str]] = {}
     impressions: dict[str, str] = {}
-    pools: dict[Condition, list[PooledSentence]] = {c: [] for c in CONDITIONS
-                                                    if not c.is_no_finding}
+    pools: dict[Condition, list[PooledSentence]] = {
+        c: [] for c in SCORABLE_CONDITIONS}
     for report in cleaned_corpus:
         impression = normalize_text(report.impression)
         impressions[report.study_id] = impression
@@ -188,8 +188,6 @@ def build_index(cleaned_corpus: Sequence[Report],
             if len(mentioned) != 1:
                 continue
             condition = next(iter(mentioned))
-            if condition.is_no_finding:
-                continue
             if vector.get(condition) is LabelValue.NEGATIVE:
                 pools[condition].append(
                     PooledSentence(sentence.text, report.study_id))
@@ -264,10 +262,9 @@ def generate_retrieval(request: GenerationRequest, index: RetrievalIndex,
     mentioned = indication_mentions(request.indication, lexicon)
     negatives: list[tuple[Condition, str]] = []
     pool_empty: list[Condition] = []
-    for condition in CONDITIONS:
-        if condition.is_no_finding or condition not in mentioned:
-            continue
-        if condition in request.predicted_positives:
+    for condition in SCORABLE_CONDITIONS:
+        if (condition not in mentioned
+                or condition in request.predicted_positives):
             continue
         pool = index.negative_pool.get(condition, ())
         if pool:

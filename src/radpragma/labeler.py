@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Union
 
-from .corpus_io import load_json, write_text_atomic
+from .corpus_io import load_json
 from .errors import InputError
-from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Sentence,
-                    normalize_text, segment_sentences)
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
+                    LabelVector, Sentence, normalize_text, segment_sentences)
 
 _WORD = re.compile(r"[a-z0-9]+")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
@@ -215,10 +215,6 @@ class Lexicon:
     def load(cls, path: str) -> "Lexicon":
         return load_json(path, "lexicon", cls.from_dict)
 
-    def save(self, path: str) -> None:
-        write_text_atomic(
-            path, json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n")
-
 
 @functools.cache
 def default_lexicon() -> Lexicon:
@@ -300,8 +296,8 @@ def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:
 def indication_mentions(indication: str,
                         lexicon: Optional[Lexicon] = None) -> frozenset[Condition]:
     """Conditions mentioned (any polarity) in an indication; No Finding excluded."""
-    vector = label_report(indication, lexicon)
-    return frozenset(c for c in vector.mentions() if not c.is_no_finding)
+    return label_report(indication, lexicon).mentions().intersection(
+        SCORABLE_CONDITIONS)
 
 
 def label_corpus(reports, lexicon: Optional[Lexicon] = None,

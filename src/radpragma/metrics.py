@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import load_json
+from .corpus_io import load_json, lookup
 from .errors import InputError
 from .labeler import Lexicon, label_report
-from .model import (CONDITIONS, Condition, LabelValue, LabelVector, Report,
-                    normalize_text, stem_pattern, tokenize)
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
+                    LabelVector, Report, normalize_text, stem_pattern,
+                    tokenize)
 
 #: The allowed ``average`` values of the F1 scores.
 F1_AVERAGES: tuple[str, ...] = ("macro", "micro")
@@ -40,9 +41,6 @@ POSITIVE_F1_5_DEFAULT: tuple[Condition, ...] = (
 NEGATIVE_F1_5: tuple[Condition, ...] = (
     Condition.PNEUMOTHORAX, Condition.PNEUMONIA, Condition.EDEMA,
     Condition.PLEURAL_EFFUSION, Condition.CONSOLIDATION)
-
-SCORABLE_CONDITIONS: tuple[Condition, ...] = tuple(
-    c for c in CONDITIONS if not c.is_no_finding)
 
 
 @dataclass(frozen=True)
@@ -242,11 +240,6 @@ class KeywordCatalog:
                    categories=tuple((name, tuple(stems))
                                     for name, stems in categories.items()))
 
-    def to_dict(self) -> dict:
-        return {"version": self.version,
-                "categories": {name: list(stems)
-                               for name, stems in self.categories}}
-
     @classmethod
     def load(cls, path: str) -> "KeywordCatalog":
         return load_json(path, "keyword catalog", cls.from_dict)
@@ -322,19 +315,12 @@ class MetricsReport:
         }
 
 
-def most_frequent_positive_conditions(
-        ref: Mapping[str, LabelVector], k: int = 5) -> tuple[Condition, ...]:
-    """The k conditions most often positive in the references; ties break in
-    canonical order. Falls back to the shipped default when the references
-    carry no positive mentions at all."""
-    return _most_supported(positive_f1(ref, ref)[1], k)
-
-
 def _most_supported(counts: Mapping[Condition, ConditionF1],
                     k: int = 5) -> tuple[Condition, ...]:
     """The k conditions with the most support in ``counts``, the positive
     counts of every scorable condition in canonical order; the sort is
-    stable, so ties stay in canonical order."""
+    stable, so ties stay in canonical order. With no support at all, the
+    shipped default."""
     if not any(s.support for s in counts.values()):
         return POSITIVE_F1_5_DEFAULT
     return tuple(sorted(counts, key=lambda c: -counts[c].support)[:k])
@@ -367,7 +353,8 @@ def evaluate_generation(generated: Sequence[Report],
     gen_labels = {i: label_report(gen_by_id[i].impression, lexicon)
                   for i in ids}
     if reference_labels is not None:
-        ref_labels = {i: _require_label(reference_labels, i) for i in ids}
+        ref_labels = {i: lookup(reference_labels, i, "reference labels")
+                      for i in ids}
     else:
         ref_labels = {i: label_report(orig_by_id[i].impression, lexicon)
                       for i in ids}
@@ -395,12 +382,3 @@ def evaluate_generation(generated: Sequence[Report],
         per_condition_neg=tuple(neg_per.items()),
         average=average,
     )
-
-
-def _require_label(labels: Mapping[str, LabelVector], study_id: str,
-                   ) -> LabelVector:
-    try:
-        return labels[study_id]
-    except KeyError:
-        raise InputError(
-            f"missing reference labels for study_id {study_id!r}") from None

@@ -46,6 +46,9 @@ class Condition(Enum):
 #: Canonical, total ordering of the fourteen conditions.
 CONDITIONS: tuple[Condition, ...] = tuple(Condition)
 
+#: The thirteen findings F1 and the chi-square test score: all but No Finding.
+SCORABLE_CONDITIONS = tuple(c for c in CONDITIONS if not c.is_no_finding)
+
 _CONDITION_BY_NAME = {c.value: c for c in CONDITIONS}
 _CONDITION_INDEX = {c: i for i, c in enumerate(CONDITIONS)}
 

@@ -18,9 +18,10 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import fits
+from .corpus_io import fits, lookup
 from .errors import DegenerateTableError, InputError
-from .model import CONDITIONS, Condition, LabelValue, LabelVector, Report
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
+                    LabelVector, Report)
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,6 @@ class CorpusSummary:
     avg_negative_mentions_non_no_finding: Optional[float]
     per_condition: tuple[tuple[Condition, ConditionStats], ...]
 
-    def condition_stats(self) -> dict[Condition, ConditionStats]:
-        return dict(self.per_condition)
-
     def scalar_fields(self) -> dict[str, Optional[float]]:
         out = {name: _as_float(getattr(self, name))
                for name in _SUMMARY_SCALARS}
@@ -147,13 +145,6 @@ def _as_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def _lookup(mapping: Mapping, study_id: str, what: str):
-    try:
-        return mapping[study_id]
-    except KeyError:
-        raise InputError(f"missing {what} for study_id {study_id!r}") from None
-
-
 def summarize(corpus: Sequence[Report],
               labels: Mapping[str, LabelVector],
               indication_mention_sets: Mapping[str, frozenset],
@@ -175,14 +166,13 @@ def summarize(corpus: Sequence[Report],
     neg_given_ind = {c: 0 for c in CONDITIONS}
 
     for report in corpus:
-        vector = _lookup(labels, report.study_id, "labels")
-        mentioned = _lookup(indication_mention_sets, report.study_id,
-                            "indication mentions")
+        vector = lookup(labels, report.study_id, "labels")
+        mentioned = lookup(indication_mention_sets, report.study_id,
+                           "indication mentions")
         is_nf = vector.get(Condition.NO_FINDING) is LabelValue.POSITIVE
         pos = neg = 0
-        for condition, value in zip(CONDITIONS, vector.values):
-            if condition.is_no_finding:
-                continue
+        for condition in SCORABLE_CONDITIONS:
+            value = vector.get(condition)
             if value is LabelValue.POSITIVE:
                 pos += 1
             elif value is LabelValue.NEGATIVE:
@@ -238,9 +228,9 @@ def conditional_negative_rates(corpus: Sequence[Report],
         raise ValueError("conditional rates are undefined for No Finding")
     a = b = c = d = 0
     for report in corpus:
-        vector = _lookup(labels, report.study_id, "labels")
-        mentioned = _lookup(indication_mention_sets, report.study_id,
-                            "indication mentions")
+        vector = lookup(labels, report.study_id, "labels")
+        mentioned = lookup(indication_mention_sets, report.study_id,
+                           "indication mentions")
         value = vector.get(condition)
         if value not in (LabelValue.NEGATIVE, LabelValue.NOT_MENTIONED):
             continue

@@ -328,6 +328,47 @@ class TestInputErrors:
         assert code == 1
         assert "unknown condition" in capsys.readouterr().err
 
+    def test_no_finding_condition_exits_1_listing_the_findings(self, tmp_path,
+                                                                capsys):
+        # The chi-square test is undefined for No Finding.
+        out = tmp_path / "chi2.csv"
+        code = main(["chi2", "--in", CORPUS, "--condition", "No Finding",
+                     "--out", str(out)])
+        assert code == 1
+        _single_error(capsys, "'No Finding'", "Atelectasis, Cardiomegaly, ",
+                      ", Support Devices")
+        assert not out.exists()
+
+    def test_lone_surrogate_in_index_exits_1_naming_the_file(self, tmp_path,
+                                                              capsys):
+        index = tmp_path / "index.json"
+        assert main(["index", "--in", CORPUS, "--out", str(index)]) == 0
+        obj = json.loads(index.read_text())
+        study_id = next(iter(obj["impressions"]))
+        obj["impressions"][study_id] += "\ud800"
+        index.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "generated.jsonl"
+        assert main(["generate", "--requests", CORPUS, "--index", str(index),
+                     "--out", str(out)]) == 1
+        _single_error(capsys, f"error: {index}: field 'impressions' ",
+                      "surrogate")
+        assert not out.exists()
+
+    def test_missing_prediction_row_exits_1(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        assert main(["label", "--in", CORPUS, "--out", str(labels)]) == 0
+        header, first, *rest = labels.read_text().splitlines(keepends=True)
+        labels.write_text(header + "".join(rest))
+        capsys.readouterr()
+        out = tmp_path / "generated.jsonl"
+        assert main(["generate", "--requests", CORPUS, "--predictions",
+                     str(labels), "--index", "unused", "--out", str(out)]) == 1
+        study_id = first.split(",", 1)[0]
+        _single_error(capsys, "error: missing prediction row for study_id "
+                      f"{study_id!r}")
+        assert not out.exists()
+
 
 class TestLabelCommand:
     def test_writes_labels_and_sidecar(self, tmp_path):
@@ -609,6 +650,37 @@ class TestRemoteFailures:
                      "--out", str(tmp_path / "cleaned.jsonl")])
         assert code == 1
         assert "endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["clean", "--in", CORPUS, "--backend", "remote"],
+         "error: remote cleaning backend requires an endpoint (flag "
+         "--clean-endpoint, env RADPRAGMA_CLEAN_ENDPOINT, or config file)"),
+        (["generate", "--requests", CORPUS, "--mode", "remote"],
+         "error: remote generation requires an endpoint (flag "
+         "--generation-endpoint, env RADPRAGMA_GENERATION_ENDPOINT, or "
+         "config file)"),
+    ])
+    def test_missing_endpoint_message(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.jsonl"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["clean", "--in", CORPUS, "--backend", "remote", "--clean-endpoint"],
+         "rewritten"),
+        (["generate", "--requests", CORPUS, "--mode", "remote",
+          "--generation-endpoint"], "completion"),
+    ])
+    def test_deeply_nested_payload_exits_2(self, tmp_path, capsys,
+                                           http_endpoint, argv, key):
+        payload = (b'{"' + key.encode() + b'": ' + b"[" * 100000
+                   + b"]" * 100000 + b"}")
+        url = http_endpoint(lambda body, handler: (200, payload))
+        out = tmp_path / "out.jsonl"
+        assert main(argv + [url, "--out", str(out)]) == 2
+        _single_error(capsys, url, f"without {key!r}")
+        assert not out.exists()
 
     def test_clean_remote_unreachable_exits_2_without_partial_output(
             self, tmp_path, capsys, monkeypatch):

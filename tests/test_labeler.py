@@ -183,7 +183,7 @@ class TestAggregation:
 class TestLexicon:
     def test_round_trip(self, tmp_path, lexicon):
         path = tmp_path / "lexicon.json"
-        lexicon.save(str(path))
+        path.write_text(json.dumps(lexicon.to_dict()), encoding="utf-8")
         assert Lexicon.load(str(path)) == lexicon
 
     def test_every_condition_has_phrases(self, lexicon):

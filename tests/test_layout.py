@@ -1,5 +1,6 @@
 """Checks on how the package loads, on the names the benchmark's tracer
-wraps, and that no module keeps an import or private name it never reads."""
+wraps, that no module keeps an import or private name it never reads, and
+that no public name is read only by tests."""
 
 import ast
 import importlib
@@ -166,30 +167,37 @@ def test_every_traced_name_resolves():
         assert callable(getattr(owner, attr)), f"{module_name}.{path}"
 
 
+def _parse(path):
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), path)
+
+
+def _defined_names(tree):
+    """The names that the module-level definitions and assignments of
+    ``tree`` bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from (name.id for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
 def _unread_names(path):
     """The imports and module-level private names of the module at ``path``
     that nothing in it reads."""
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), path)
+    tree = _parse(path)
     bound = set()
     for node in ast.walk(tree):
         if (isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", None) != "__future__"):
             bound |= {(alias.asname or alias.name).split(".")[0]
                       for alias in node.names}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            names = [name.id for target in targets
-                     for name in ast.walk(target)
-                     if isinstance(name, ast.Name)]
-        else:
-            continue
-        bound |= {name for name in names
-                  if name.startswith("_") and not name.startswith("__")}
+    bound |= {name for name in _defined_names(tree)
+              if name.startswith("_") and not name.startswith("__")}
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(bound - read)
@@ -201,3 +209,33 @@ def test_every_import_and_private_name_is_read(module):
     # The repository has no linter; this catches an import or a private
     # helper a change leaves behind.
     assert _unread_names(os.path.join(PACKAGE, module)) == []
+
+
+def _names_read(directory):
+    """Every name and attribute that a Python file under ``directory``
+    reads."""
+    read = set()
+    for folder, _, files in os.walk(directory):
+        for name in files:
+            if name.endswith(".py"):
+                for node in ast.walk(_parse(os.path.join(folder, name))):
+                    if not isinstance(getattr(node, "ctx", None), ast.Load):
+                        continue
+                    if isinstance(node, ast.Name):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_outside_tests():
+    # A module-level public name that is no package export must be read by
+    # the package or the benchmark; one that only tests call is dead code.
+    read = _names_read(SRC) | _names_read(os.path.join(ROOT, "perfbench"))
+    unread = [f"{module}:{name}"
+              for module in sorted(os.listdir(PACKAGE))
+              if module.endswith(".py")
+              for name in _defined_names(_parse(os.path.join(PACKAGE, module)))
+              if not name.startswith("_") and name not in radpragma.__all__
+              and name not in read]
+    assert unread == []

@@ -11,9 +11,7 @@ from radpragma.errors import InputError
 from radpragma.metrics import (NEGATIVE_F1_5, POSITIVE_F1_5_DEFAULT,
                                KeywordCatalog, bleu2, default_catalog,
                                evaluate_generation, exact_match_accuracy,
-                               hallucination_rate,
-                               most_frequent_positive_conditions, negative_f1,
-                               positive_f1)
+                               hallucination_rate, negative_f1, positive_f1)
 from radpragma.model import Condition, LabelValue, LabelVector, Report
 
 POS = LabelValue.POSITIVE
@@ -362,7 +360,9 @@ class TestEvaluateGeneration:
         for i in range(4):
             rows[f"b{i}"] = {Condition.FRACTURE: POS}
         ref = vectors(rows)
-        five = most_frequent_positive_conditions(ref)
+        reports = [Report(study_id=sid, impression="") for sid in ref]
+        five = evaluate_generation(reports, reports, reports,
+                                   reference_labels=ref).pos_f1_5_conditions
         assert five[0] is Condition.PNEUMOTHORAX
         assert five[1] is Condition.FRACTURE
         # remaining slots fill by canonical order among zero-count conditions
@@ -371,7 +371,10 @@ class TestEvaluateGeneration:
 
     def test_pos_five_default_when_no_positives(self):
         ref = vectors({"a": {}})
-        assert most_frequent_positive_conditions(ref) == POSITIVE_F1_5_DEFAULT
+        reports = [Report(study_id="a", impression="")]
+        five = evaluate_generation(reports, reports, reports,
+                                   reference_labels=ref).pos_f1_5_conditions
+        assert five == POSITIVE_F1_5_DEFAULT
 
     def test_clean_bleu_of_guard_cleaned_corpus_against_itself(self):
         from radpragma.backends import PatternBackend

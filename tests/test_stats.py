@@ -178,7 +178,7 @@ class TestSummarize:
         assert summary.avg_negative_mentions == pytest.approx(1.0)
         assert summary.avg_negative_mentions_non_no_finding == \
             pytest.approx(1.5)
-        stats_by = summary.condition_stats()
+        stats_by = dict(summary.per_condition)
         assert stats_by[Condition.EDEMA].negative_mentions == 2
         assert stats_by[Condition.EDEMA].indication_mentions == 1
         assert stats_by[Condition.EDEMA] \
