@@ -6,22 +6,19 @@ RemoteRewriteBackend sends the rule prompt and sentence to an HTTP endpoint
 (one POST per distinct (rule, sentence); responses are memoized so a run is
 deterministic even against a flaky endpoint).
 
-This module is the package's one HTTP client. It imports ``requests`` only
-when a session is opened or a POST is made, so offline runs never load it.
+RemoteEndpoint is the package's one HTTP client. It imports ``requests``
+only when a client is made, so offline runs never load it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from .cleaning import REMOVED, CleaningRule, build_rewrite_prompt
 from .errors import BackendError
 from .model import normalize_text
-
-if TYPE_CHECKING:
-    import requests
 
 _I = re.IGNORECASE
 
@@ -184,86 +181,82 @@ class PatternBackend:
         return result
 
 
-def http_session() -> requests.Session:
-    """A new HTTP session; close it (or use it in ``with``) when done."""
-    import requests
-    return requests.Session()
+class RemoteEndpoint:
+    """A JSON endpoint, named ``what`` in errors, and the HTTP session that
+    one stage run shares across its threads; ``close()``, or leaving a
+    ``with`` block, closes the session."""
 
+    def __init__(self, endpoint: str, what: str,
+                 auth_token: Optional[str] = None, timeout: float = 30.0,
+                 retries: int = 0):
+        import requests
+        self.endpoint = endpoint
+        self.what = what
+        self.timeout = timeout
+        self.retries = retries
+        self._headers = {"Content-Type": "application/json"}
+        if auth_token:
+            self._headers["Authorization"] = f"Bearer {auth_token}"
+        self._session = requests.Session()
 
-def post_json(session: requests.Session, endpoint: str, payload: dict,
-              key: str, *, what: str, noun: str,
-              auth_token: Optional[str], timeout: float, retries: int = 0,
-              suffix: str = "", **context) -> str:
-    """POST ``payload`` as JSON and return the string under ``key`` in the
-    response.
+    def close(self) -> None:
+        self._session.close()
 
-    Only transport errors are retried, up to ``retries`` times. Failures
-    raise BackendError carrying ``endpoint`` and ``context``, with a message
-    that names the ``what`` endpoint and ends in ``suffix``.
-    """
-    import requests
+    def __enter__(self) -> RemoteEndpoint:
+        return self
 
-    def failure(problem: str) -> BackendError:
-        return BackendError(f"{what} endpoint {endpoint} {problem}{suffix}",
-                            endpoint=endpoint, **context)
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
-    headers = {"Content-Type": "application/json"}
-    if auth_token:
-        headers["Authorization"] = f"Bearer {auth_token}"
-    last_error: Optional[Exception] = None
-    for _ in range(retries + 1):
+    def post(self, payload: dict, key: str, *, noun: str, suffix: str = "",
+             **context) -> str:
+        """POST ``payload`` and return the string (the ``noun``) under
+        ``key`` in the response. Only transport errors are retried, up to
+        ``retries`` times. A failure raises BackendError carrying
+        ``context``, its message ending in ``suffix``."""
+        import requests
+
+        def failure(problem: str, detail: str = "") -> BackendError:
+            return BackendError(f"{self.what} endpoint {self.endpoint} "
+                                f"{problem}{suffix}{detail}",
+                                endpoint=self.endpoint, **context)
+
+        last_error: Optional[Exception] = None
+        for _ in range(self.retries + 1):
+            try:
+                response = self._session.post(
+                    self.endpoint, json=payload, headers=self._headers,
+                    timeout=self.timeout)
+                break
+            except requests.RequestException as exc:
+                last_error = exc
+        else:
+            raise failure("unreachable", f": {last_error}")
+        if response.status_code != 200:
+            raise failure(f"returned HTTP {response.status_code}")
         try:
-            response = session.post(endpoint, json=payload, headers=headers,
-                                    timeout=timeout)
-            break
-        except requests.RequestException as exc:
-            last_error = exc
-    else:
-        raise BackendError(
-            f"{what} endpoint {endpoint} unreachable{suffix}: {last_error}",
-            endpoint=endpoint, **context)
-    if response.status_code != 200:
-        raise failure(f"returned HTTP {response.status_code}")
-    try:
-        value = response.json()[key]
-    # TypeError: not an object; RecursionError: nested too deeply.
-    except (ValueError, KeyError, TypeError, RecursionError):
-        raise failure(f"returned a payload without {key!r}") from None
-    if not isinstance(value, str):
-        raise failure(f"returned a non-string {noun}")
-    return value
+            value = response.json()[key]
+        # TypeError: not an object; RecursionError: nested too deeply.
+        except (ValueError, KeyError, TypeError, RecursionError):
+            raise failure(f"returned a payload without {key!r}") from None
+        if not isinstance(value, str):
+            raise failure(f"returned a non-string {noun}")
+        return value
 
 
-class RemoteRewriteBackend:
+class RemoteRewriteBackend(RemoteEndpoint):
     """HTTP rewriting endpoint speaking JSON.
 
     Protocol: POST ``{"rule_id": int, "prompt": str, "sentence": str}``,
     response ``{"rewritten": str}``. The endpoint must behave
     deterministically (temperature-zero semantics); within a run, responses
-    are memoized per (rule, sentence) regardless. ``close()``, or leaving a
-    ``with`` block, closes the HTTP session if the backend opened it.
+    are memoized per (rule, sentence) regardless.
     """
 
     def __init__(self, endpoint: str, auth_token: Optional[str] = None,
-                 timeout: float = 30.0, retries: int = 0,
-                 session: Optional[requests.Session] = None):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.retries = retries
-        self._auth_token = auth_token
-        self._owns_session = session is None
-        self._session = session or http_session()
+                 timeout: float = 30.0, retries: int = 0):
+        super().__init__(endpoint, "cleaning", auth_token, timeout, retries)
         self._cache: dict[tuple[int, str], str] = {}
-
-    def close(self) -> None:
-        if self._owns_session:
-            self._session.close()
-
-    def __enter__(self) -> RemoteRewriteBackend:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def rewrite(self, rule: CleaningRule, sentence: str) -> str:
         key = (rule.rule_id, sentence)
@@ -271,9 +264,6 @@ class RemoteRewriteBackend:
             payload = {"rule_id": rule.rule_id,
                        "prompt": build_rewrite_prompt(rule, sentence),
                        "sentence": sentence}
-            self._cache[key] = post_json(
-                self._session, self.endpoint, payload, "rewritten",
-                what="cleaning", noun="rewrite", auth_token=self._auth_token,
-                timeout=self.timeout, retries=self.retries,
-                rule_id=rule.rule_id)
+            self._cache[key] = self.post(payload, "rewritten", noun="rewrite",
+                                         rule_id=rule.rule_id)
         return self._cache[key]

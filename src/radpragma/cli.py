@@ -134,10 +134,9 @@ def _load_catalog(config: Config) -> metrics.KeywordCatalog:
 def _write_run_config(primary_out: Optional[str], command: str,
                       config: Config, inputs: dict) -> None:
     if primary_out:
-        # Only whether a token was set: the file is world-readable under the
+        # Only whether a token is sent: the file is world-readable under the
         # usual umask, and every stage writes one.
-        recorded = asdict(config) | {"auth_token":
-                                     config.auth_token is not None}
+        recorded = asdict(config) | {"auth_token": bool(config.auth_token)}
         corpus_io.write_json(primary_out + ".run.json",
                              {"command": command, "config": recorded,
                               "inputs": inputs})
@@ -285,8 +284,13 @@ def cmd_clean(args, config: Config) -> dict:
     corpus = corpus_io.read_reports_jsonl(args.infile)
 
     def clean_all(backend, workers: int) -> list:
-        return _run_all(lambda report: cleaning.clean_report_audited(
-            report, backend, lexicon=lexicon), corpus, workers)
+        # Each report's sentence audits, kept only if they will be written.
+        def clean(report):
+            cleaned, audits = cleaning.clean_report_audited(
+                report, backend, lexicon=lexicon)
+            return cleaned, audits if args.audit else ()
+
+        return _run_all(clean, corpus, workers)
 
     if args.backend == "pattern":
         results = clean_all(backends.PatternBackend(), 1)
@@ -368,18 +372,13 @@ def cmd_generate(args, config: Config) -> dict:
         results = [generator.generate_retrieval(request, index, lexicon)
                    for request in requests_in]
     else:
-        endpoint = _endpoint(config, "generation_endpoint",
-                             "remote generation")
-        from .backends import http_session
-        with http_session() as session:
-
-            def work(request):
-                return generator.generate_remote(
-                    request, endpoint,
-                    auth_token=config.auth_token, timeout=config.timeout,
-                    session=session)
-
-            results = _run_all(work, requests_in, config.jobs)
+        from .backends import RemoteEndpoint
+        with RemoteEndpoint(
+                _endpoint(config, "generation_endpoint", "remote generation"),
+                "generation", config.auth_token, config.timeout) as client:
+            results = _run_all(
+                lambda request: generator.generate_remote(request, client),
+                requests_in, config.jobs)
     reports = [Report(study_id=request.study_id,
                       indication=request.indication,
                       impression=result.text)

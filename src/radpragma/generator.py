@@ -1,5 +1,5 @@
 """Retrieval-based report generation driven by predicted positive conditions
-and the indication, plus the prompt builder and client for an external
+and the indication, plus the prompt builder and request for an external
 generation model.
 
 The index maps each positive-condition set seen in a cleaned corpus to its
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -25,7 +24,7 @@ from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
                     Report, join_sentences, normalize_text, segment_sentences)
 
 if TYPE_CHECKING:
-    import requests
+    from .backends import RemoteEndpoint
 
 logger = logging.getLogger(__name__)
 
@@ -327,39 +326,26 @@ class RemoteGeneration:
     study_id: str
     text: str
     prompt: str
-    latency_ms: float
 
     def audit_dict(self) -> dict:
-        return {"study_id": self.study_id, "prompt": self.prompt,
-                "latency_ms": self.latency_ms}
+        return {"study_id": self.study_id, "prompt": self.prompt}
 
 
-def generate_remote(request: GenerationRequest, endpoint: str,
-                    auth_token: Optional[str] = None, timeout: float = 30.0,
-                    session: Optional[requests.Session] = None,
-                    ) -> RemoteGeneration:
-    """Send the generation prompt to an external endpoint.
+def generate_remote(request: GenerationRequest,
+                    client: RemoteEndpoint) -> RemoteGeneration:
+    """Send the generation prompt to an external endpoint through
+    ``client``, one ``backends.RemoteEndpoint`` for a whole run.
 
     Protocol: POST ``{"study_id": str, "prompt": str}``, response
     ``{"completion": str}``. The completion is returned normalized but
-    otherwise verbatim; validating its labels is the evaluator's job. No
-    retries, so a flaky endpoint never produces duplicate generations.
-    Pass one ``session`` for a whole run to reuse its connections.
+    otherwise verbatim; validating its labels is the evaluator's job. Make
+    the client without retries, so a flaky endpoint never produces
+    duplicate generations.
     """
-    from .backends import http_session, post_json
-    if session is None:
-        with http_session() as own:
-            return generate_remote(request, endpoint, auth_token, timeout, own)
     prompt = build_generation_prompt(request)
-    started = time.perf_counter()
-    completion = post_json(
-        session, endpoint,
+    completion = client.post(
         {"study_id": request.study_id, "prompt": prompt}, "completion",
-        what="generation", noun="completion",
-        auth_token=auth_token, timeout=timeout,
-        suffix=f" for request {request.study_id!r}",
+        noun="completion", suffix=f" for request {request.study_id!r}",
         study_id=request.study_id)
-    latency_ms = (time.perf_counter() - started) * 1000.0
     return RemoteGeneration(study_id=request.study_id,
-                            text=normalize_text(completion), prompt=prompt,
-                            latency_ms=latency_ms)
+                            text=normalize_text(completion), prompt=prompt)

@@ -202,15 +202,6 @@ class Lexicon:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"invalid lexicon: {exc}") from None
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "scope_window": self.scope_window,
-            "negation_cues": list(self.negation_cues),
-            "uncertainty_cues": list(self.uncertainty_cues),
-            "conditions": {c.value: list(ps) for c, ps in self.phrases},
-        }
-
     @classmethod
     def load(cls, path: str) -> "Lexicon":
         return load_json(path, "lexicon", cls.from_dict)

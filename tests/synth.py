@@ -6,7 +6,9 @@ keyword so retrieval outputs can be asserted hallucination-free.
 """
 
 import hashlib
+import json
 import random
+from importlib import resources
 
 from radpragma.cleaning import REMOVED
 from radpragma.backends import PatternBackend
@@ -14,6 +16,12 @@ from radpragma.model import (CONDITIONS, Condition, LabelValue, LabelVector,
                              Report)
 
 SCORABLE = tuple(c for c in CONDITIONS if c is not Condition.NO_FINDING)
+
+
+def shipped_lexicon_json():
+    """The lexicon file shipped with the package, as a fresh dict."""
+    path = resources.files("radpragma") / "data" / "lexicon.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def label_vector(mapping):

@@ -398,11 +398,6 @@ class TestRemoteBackend:
         with RemoteRewriteBackend("http://127.0.0.1:9/"):
             assert not closed
         assert len(closed) == 1
-        shared = requests.Session()
-        with RemoteRewriteBackend("http://127.0.0.1:9/", session=shared):
-            pass
-        RemoteRewriteBackend("http://127.0.0.1:9/", session=shared).close()
-        assert len(closed) == 1 and closed[0] is not shared
 
     def test_clean_sentence_with_remote_backend(self, http_endpoint, lexicon):
         def respond(body, handler):

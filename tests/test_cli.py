@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import threading
@@ -6,10 +7,12 @@ import pytest
 import requests
 
 from pipeline import pipeline_steps, run_pipeline
+from synth import shipped_lexicon_json
 
+from radpragma import corpus_io
+from radpragma.cleaning import SentenceAudit
 from radpragma.cli import main
 from radpragma.corpus_io import read_labels_csv, read_reports_jsonl
-from radpragma.labeler import default_lexicon
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus.jsonl")
@@ -279,7 +282,7 @@ class TestInputErrors:
                                                     command, content):
         bad = tmp_path / "input.json"
         if content == "truncated":
-            content = json.dumps(default_lexicon().to_dict())[:200]
+            content = json.dumps(shipped_lexicon_json())[:200]
         bad.write_text(content)
         out = tmp_path / "out"
         argv = [str(bad) if arg == "BAD" else arg
@@ -384,6 +387,15 @@ class TestLabelCommand:
         assert sidecar["config"]["seed"] == 7
 
 
+#: Each remote stage, less its endpoint URL, and its response's key.
+_REMOTE_STAGES = [
+    (["clean", "--in", CORPUS, "--backend", "remote", "--clean-endpoint"],
+     "rewritten"),
+    (["generate", "--requests", CORPUS, "--mode", "remote",
+      "--generation-endpoint"], "completion"),
+]
+
+
 class TestRunRecord:
     #: The inputs each command records in its run.json.
     RUN_INPUTS = {
@@ -437,6 +449,22 @@ class TestRunRecord:
             assert sorted(run["inputs"]) == self.RUN_INPUTS[argv[0]]
             assert run["config"]["auth_token"] is True
 
+    @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
+    def test_empty_auth_token_is_neither_sent_nor_recorded(
+            self, tmp_path, http_endpoint, monkeypatch, argv, key):
+        sent = []
+
+        def respond(body, handler):
+            sent.append(handler.headers.get("Authorization"))
+            return 200, {key: body.get("sentence", "No acute process.")}
+
+        monkeypatch.setenv("RADPRAGMA_AUTH_TOKEN", "")
+        out = tmp_path / "out.jsonl"
+        assert main(argv + [http_endpoint(respond), "--out", str(out)]) == 0
+        assert sent and set(sent) == {None}
+        sidecar = json.loads((tmp_path / "out.jsonl.run.json").read_text())
+        assert sidecar["config"]["auth_token"] is False
+
 
 class TestPipeline:
     def test_full_pipeline_and_fixture_oracle(self, tmp_path):
@@ -471,6 +499,25 @@ class TestPipeline:
         for out in outs:
             with open(out + ".run.json", encoding="utf-8") as handle:
                 assert json.load(handle)["config"]["jobs"] == 4
+
+    def test_clean_without_audit_keeps_no_sentence_audit(self, tmp_path,
+                                                         monkeypatch):
+        def audits_alive():
+            gc.collect()
+            return sum(isinstance(o, SentenceAudit) for o in gc.get_objects())
+
+        before = audits_alive()
+        alive = []
+        real_write = corpus_io.write_reports_jsonl
+
+        def counting(*args, **kwargs):
+            alive.append(audits_alive())
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(corpus_io, "write_reports_jsonl", counting)
+        assert main(["clean", "--in", CORPUS, "--backend", "pattern",
+                     "--out", str(tmp_path / "cleaned.jsonl")]) == 0
+        assert alive == [before]
 
     def test_evaluate_matches_bundled_oracle(self, tmp_path):
         out = tmp_path / "metrics.json"
@@ -666,12 +713,7 @@ class TestRemoteFailures:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, key", [
-        (["clean", "--in", CORPUS, "--backend", "remote", "--clean-endpoint"],
-         "rewritten"),
-        (["generate", "--requests", CORPUS, "--mode", "remote",
-          "--generation-endpoint"], "completion"),
-    ])
+    @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
     def test_deeply_nested_payload_exits_2(self, tmp_path, capsys,
                                            http_endpoint, argv, key):
         payload = (b'{"' + key.encode() + b'": ' + b"[" * 100000
@@ -744,7 +786,38 @@ class TestRemoteFailures:
         assert all(r.impression == "No acute process." for r in reports)
         audit_lines = (tmp_path / "audit.jsonl").read_text().splitlines()
         assert len(audit_lines) == len(reports)
-        assert "latency_ms" in json.loads(audit_lines[0])
+        assert "latency_ms" not in json.loads(audit_lines[0])
+
+    def test_generate_remote_audit_is_the_same_each_run(self, tmp_path,
+                                                        http_endpoint):
+        url = http_endpoint(
+            lambda body, handler: (200, {"completion": "No acute process."}))
+        audits = []
+        for run in ("a", "b"):
+            audit = tmp_path / f"audit_{run}.jsonl"
+            assert main(["generate", "--requests", CORPUS, "--mode", "remote",
+                         "--generation-endpoint", url, "--jobs", "2",
+                         "--out", str(tmp_path / f"generated_{run}.jsonl"),
+                         "--audit", str(audit)]) == 0
+            audits.append(audit.read_bytes())
+        assert audits[0] == audits[1]
+
+    def test_generate_remote_never_retries(self, tmp_path, http_endpoint,
+                                           monkeypatch):
+        attempts = []
+
+        def respond(body, handler):
+            attempts.append(body["study_id"])
+            handler.wfile.close()
+            raise ConnectionError
+
+        monkeypatch.setenv("RADPRAGMA_RETRIES", "2")
+        out = tmp_path / "generated.jsonl"
+        assert main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", http_endpoint(respond),
+                     "--out", str(out)]) == 2
+        assert len(attempts) == 1
+        assert not out.exists()
 
     def test_generate_remote_non_object_payload_exits_2(self, tmp_path,
                                                         capsys,
@@ -776,8 +849,9 @@ class TestRemoteFailures:
         assert len(sessions) == len(read_reports_jsonl(CORPUS))
         assert len({id(session) for session in sessions}) == 1
 
-    def test_clean_remote_closes_its_session(self, tmp_path, http_endpoint,
-                                             monkeypatch):
+    @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
+    def test_remote_stage_closes_its_session(self, tmp_path, http_endpoint,
+                                             monkeypatch, argv, key):
         closed = []
         real_close = requests.Session.close
 
@@ -786,11 +860,10 @@ class TestRemoteFailures:
             return real_close(session)
 
         monkeypatch.setattr(requests.Session, "close", recording)
-        url = http_endpoint(
-            lambda body, handler: (200, {"rewritten": body["sentence"]}))
-        code = main(["clean", "--in", CORPUS, "--backend", "remote",
-                     "--clean-endpoint", url, "--jobs", "2",
-                     "--out", str(tmp_path / "cleaned.jsonl")])
+        url = http_endpoint(lambda body, handler: (
+            200, {key: body.get("sentence", "No acute process.")}))
+        code = main(argv + [url, "--jobs", "2",
+                            "--out", str(tmp_path / "out.jsonl")])
         assert code == 0
         assert len(closed) == 1
 

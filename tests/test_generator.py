@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from radpragma.backends import RemoteEndpoint
 from radpragma.errors import BackendError, InputError
 from radpragma.generator import (GenerationRequest, RetrievalIndex,
                                  build_generation_prompt, build_index,
@@ -285,37 +286,42 @@ class TestGenerateRemote:
             return 200, {"completion": "No acute process.\n"}
 
         url = http_endpoint(respond)
-        result = generate_remote(request(indication="cough"), url)
+        with RemoteEndpoint(url, "generation") as client:
+            result = generate_remote(request(indication="cough"), client)
         assert result.text == "No acute process."
         assert result.prompt.startswith("Below is an instruction")
-        assert result.latency_ms >= 0.0
 
     def test_unvalidated_passthrough(self, http_endpoint):
         # the generator does not filter; validation is the evaluator's job
         url = http_endpoint(
             lambda body, handler: (200, {"completion": "Recommend CT."}))
-        result = generate_remote(request(), url)
+        with RemoteEndpoint(url, "generation") as client:
+            result = generate_remote(request(), client)
         assert result.text == "Recommend CT."
 
     def test_unreachable_endpoint_names_it(self):
-        with pytest.raises(BackendError, match="127.0.0.1:9") as info:
-            generate_remote(request(study_id="q7"), "http://127.0.0.1:9/",
-                            timeout=0.2)
+        with (RemoteEndpoint("http://127.0.0.1:9/", "generation",
+                             timeout=0.2) as client,
+              pytest.raises(BackendError, match="127.0.0.1:9") as info):
+            generate_remote(request(study_id="q7"), client)
         assert info.value.study_id == "q7"
 
     def test_http_error(self, http_endpoint):
         url = http_endpoint(lambda body, handler: (503, {}))
-        with pytest.raises(BackendError, match="HTTP 503"):
-            generate_remote(request(), url)
+        with (RemoteEndpoint(url, "generation") as client,
+              pytest.raises(BackendError, match="HTTP 503")):
+            generate_remote(request(), client)
 
     def test_bad_payload(self, http_endpoint):
         url = http_endpoint(lambda body, handler: (200, {"oops": True}))
-        with pytest.raises(BackendError, match="completion"):
-            generate_remote(request(), url)
+        with (RemoteEndpoint(url, "generation") as client,
+              pytest.raises(BackendError, match="completion")):
+            generate_remote(request(), client)
 
     @pytest.mark.parametrize("payload", [[1], "x", None])
     def test_non_object_payload(self, http_endpoint, payload):
         url = http_endpoint(lambda body, handler: (200, payload))
-        with pytest.raises(BackendError, match="completion") as info:
-            generate_remote(request(study_id="q3"), url)
+        with (RemoteEndpoint(url, "generation") as client,
+              pytest.raises(BackendError, match="completion") as info):
+            generate_remote(request(study_id="q3"), client)
         assert info.value.study_id == "q3"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from labeler_oracle import OracleLabeler
 from labeler_oracle import aggregate_labels as oracle_aggregate
+from synth import shipped_lexicon_json
 from radpragma.cli import main
 from radpragma.corpus_io import read_reports_jsonl
 from radpragma.errors import InputError
@@ -181,10 +182,10 @@ class TestAggregation:
 
 
 class TestLexicon:
-    def test_round_trip(self, tmp_path, lexicon):
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "lexicon.json"
-        path.write_text(json.dumps(lexicon.to_dict()), encoding="utf-8")
-        assert Lexicon.load(str(path)) == lexicon
+        path.write_text(json.dumps(shipped_lexicon_json()), encoding="utf-8")
+        assert Lexicon.load(str(path)) == default_lexicon()
 
     def test_every_condition_has_phrases(self, lexicon):
         phrases = dict(lexicon.phrases)
@@ -222,18 +223,17 @@ class TestLexicon:
         (lambda d: d.update(scope_window=True), "scope_window"),
         (lambda d: d.update(scope_window=6.5), "scope_window"),
     ])
-    def test_from_dict_rejects_entries_that_cannot_work(self, lexicon, edit,
-                                                        field):
+    def test_from_dict_rejects_entries_that_cannot_work(self, edit, field):
         # A capitalised cue never fires on the lowercased text, an empty
         # entry matches everywhere, a string is not a list of entries, and
         # True is not a window size.
-        obj = lexicon.to_dict()
+        obj = shipped_lexicon_json()
         edit(obj)
         with pytest.raises(InputError, match=field):
             Lexicon.from_dict(obj)
 
-    def test_cli_rejects_capitalised_cue(self, tmp_path, capsys, lexicon):
-        obj = lexicon.to_dict()
+    def test_cli_rejects_capitalised_cue(self, tmp_path, capsys):
+        obj = shipped_lexicon_json()
         obj["negation_cues"] = [cue.capitalize()
                                 for cue in obj["negation_cues"]]
         path = tmp_path / "lexicon.json"
@@ -248,9 +248,8 @@ class TestLexicon:
         assert not out.exists()
 
 
-def _variant(lexicon, window, negation=None, uncertainty=None,
-             phrases=None):
-    obj = lexicon.to_dict()
+def _variant(window, negation=None, uncertainty=None, phrases=None):
+    obj = shipped_lexicon_json()
     obj["scope_window"] = window
     if negation is not None:
         obj["negation_cues"] = negation
@@ -271,13 +270,13 @@ def _lexicons():
     uncertainty = ["?", "??", "may", "may be", "be"]
     return [
         base,
-        _variant(base, 1),
-        _variant(base, 1, negation, uncertainty),
-        _variant(base, 2, negation, uncertainty),
+        _variant(1),
+        _variant(1, negation, uncertainty),
+        _variant(2, negation, uncertainty),
         # Phrases that overlap a phrase of another condition.
-        _variant(base, 3, phrases={"Lung Opacity": ["pulmonary"],
-                                   "Atelectasis": ["edema atelectasis"],
-                                   "Pneumonia": ["process"]}),
+        _variant(3, phrases={"Lung Opacity": ["pulmonary"],
+                             "Atelectasis": ["edema atelectasis"],
+                             "Pneumonia": ["process"]}),
     ]
 
 
@@ -368,10 +367,10 @@ class TestAgainstOracle:
                 assert _as_strings(label_sentence(sentence, lexicon)) == \
                     oracle.label_sentence(sentence), sentence
 
-    def test_overlapping_cues_keep_every_match(self, lexicon):
+    def test_overlapping_cues_keep_every_match(self):
         # One scan over "rule out|out of" finds "rule out" and skips the
         # "out of" that ends right before the phrase.
-        overlapping = _variant(lexicon, 1, negation=["rule out", "out of"])
+        overlapping = _variant(1, negation=["rule out", "out of"])
         vector = label_sentence("rule out of edema", overlapping)
         assert vector.get(Condition.EDEMA) is NEG
 

@@ -1,6 +1,7 @@
 """Checks on how the package loads, on the names the benchmark's tracer
-wraps, that no module keeps an import or private name it never reads, and
-that no public name is read only by tests."""
+wraps, that no module keeps an import or private name it never reads, that
+no public name is read only by tests, and that only ``backends`` imports
+``requests``."""
 
 import ast
 import importlib
@@ -209,6 +210,24 @@ def test_every_import_and_private_name_is_read(module):
     # The repository has no linter; this catches an import or a private
     # helper a change leaves behind.
     assert _unread_names(os.path.join(PACKAGE, module)) == []
+
+
+def _imported_modules(tree):
+    """The top-level names of the modules that ``tree`` imports anywhere,
+    ``if TYPE_CHECKING:`` blocks and function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_only_backends_imports_requests():
+    # backends.RemoteEndpoint is the package's one HTTP client.
+    importers = [module for module in sorted(os.listdir(PACKAGE))
+                 if module.endswith(".py") and "requests" in
+                 _imported_modules(_parse(os.path.join(PACKAGE, module)))]
+    assert importers == ["backends.py"]
 
 
 def _names_read(directory):
