@@ -209,17 +209,17 @@ class RemoteEndpoint:
         self.close()
 
     def post(self, payload: dict, key: str, *, noun: str, suffix: str = "",
-             **context) -> str:
+             study_id: Optional[str] = None) -> str:
         """POST ``payload`` and return the string (the ``noun``) under
         ``key`` in the response. Only transport errors are retried, up to
         ``retries`` times. A failure raises BackendError carrying
-        ``context``, its message ending in ``suffix``."""
+        ``study_id``, its message ending in ``suffix``."""
         import requests
 
         def failure(problem: str, detail: str = "") -> BackendError:
             return BackendError(f"{self.what} endpoint {self.endpoint} "
                                 f"{problem}{suffix}{detail}",
-                                endpoint=self.endpoint, **context)
+                                study_id=study_id)
 
         last_error: Optional[Exception] = None
         for _ in range(self.retries + 1):
@@ -241,6 +241,11 @@ class RemoteEndpoint:
             raise failure(f"returned a payload without {key!r}") from None
         if not isinstance(value, str):
             raise failure(f"returned a non-string {noun}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, as "\ud800" decodes
+            raise failure(f"returned a {noun} that UTF-8 cannot "
+                          f"encode") from None
         return value
 
 
@@ -264,6 +269,5 @@ class RemoteRewriteBackend(RemoteEndpoint):
             payload = {"rule_id": rule.rule_id,
                        "prompt": build_rewrite_prompt(rule, sentence),
                        "sentence": sentence}
-            self._cache[key] = self.post(payload, "rewritten", noun="rewrite",
-                                         rule_id=rule.rule_id)
+            self._cache[key] = self.post(payload, "rewritten", noun="rewrite")
         return self._cache[key]

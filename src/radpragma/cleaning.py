@@ -147,8 +147,7 @@ def _rewrite(sentence: str, rule: CleaningRule,
     try:
         rewritten = backend.rewrite(rule, sentence)
     except BackendError as exc:
-        if exc.rule_id is None:
-            exc.rule_id = rule.rule_id
+        exc.rule_id = rule.rule_id
         raise
     rewritten = normalize_text(rewritten)
     return rewritten if rewritten else REMOVED
@@ -171,21 +170,17 @@ class RuleOutcome:
 
 def clean_sentence_audited(sentence: str,
                            backend: RewriteBackend,
-                           rules: Sequence[CleaningRule] = DEFAULT_RULES,
                            lexicon: Optional[Lexicon] = None,
                            ) -> tuple[str, list[RuleOutcome]]:
-    """Fold the rules over a sentence under the label guard; keep an audit.
-
-    ``rules`` must be ordered by unique id; ``clean_sentence`` and
-    ``clean_report_audited`` check that once per call.
-    """
+    """Fold DEFAULT_RULES, in rule-id order, over a sentence under the label
+    guard; keep an audit."""
     current = normalize_text(sentence)
     outcomes: list[RuleOutcome] = []
     if current == REMOVED or not current:
         return current, outcomes
     current_labels = label_sentence(current, lexicon)
     no_mentions = current_labels == LabelVector.all_not_mentioned()
-    for rule in rules:
+    for rule in DEFAULT_RULES:
         candidate = _rewrite(current, rule, backend)
         if candidate == current:
             outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
@@ -210,18 +205,9 @@ def clean_sentence_audited(sentence: str,
 
 
 def clean_sentence(sentence: str, backend: RewriteBackend,
-                   rules: Sequence[CleaningRule] = DEFAULT_RULES,
                    lexicon: Optional[Lexicon] = None) -> str:
-    final, _ = clean_sentence_audited(sentence, backend,
-                                      _check_rule_order(rules), lexicon)
+    final, _ = clean_sentence_audited(sentence, backend, lexicon)
     return final
-
-
-def _check_rule_order(rules: Sequence[CleaningRule]) -> Sequence[CleaningRule]:
-    ids = [rule.rule_id for rule in rules]
-    if ids != sorted(ids) or len(set(ids)) != len(ids):
-        raise InputError(f"rules must be ordered by unique id, got {ids}")
-    return rules
 
 
 @dataclass(frozen=True)
@@ -238,27 +224,25 @@ class SentenceAudit:
 
 
 def clean_report_audited(report: Report, backend: RewriteBackend,
-                         rules: Sequence[CleaningRule] = DEFAULT_RULES,
                          lexicon: Optional[Lexicon] = None,
                          ) -> tuple[Report, list[SentenceAudit]]:
     """Clean every sentence of a report's impression.
 
     REMOVED sentences are dropped; the rest are rejoined with single spaces.
     Indication, study_id, and findings pass through untouched. The guard
-    guarantees the cleaned impression relabels identically to the original.
+    holds per sentence: each cleaned sentence relabels as its original did.
+    The rejoined impression need not, because a rewrite can drop a
+    sentence's end mark, and a cue then scopes into the next sentence.
     """
-    rules = _check_rule_order(rules)
     audits: list[SentenceAudit] = []
     kept: list[str] = []
     for sentence in segment_sentences(report.impression):
         try:
             final, outcomes = clean_sentence_audited(
-                sentence.text, backend, rules, lexicon)
+                sentence.text, backend, lexicon)
         except BackendError as exc:
-            if exc.sentence_index is None:
-                exc.sentence_index = sentence.index
-            if exc.study_id is None:
-                exc.study_id = report.study_id
+            exc.sentence_index = sentence.index
+            exc.study_id = report.study_id
             raise
         audits.append(SentenceAudit(sentence.index, sentence.text, final,
                                     tuple(outcomes)))
@@ -268,9 +252,8 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
 
 
 def clean_report(report: Report, backend: RewriteBackend,
-                 rules: Sequence[CleaningRule] = DEFAULT_RULES,
                  lexicon: Optional[Lexicon] = None) -> Report:
-    cleaned, _ = clean_report_audited(report, backend, rules, lexicon)
+    cleaned, _ = clean_report_audited(report, backend, lexicon)
     return cleaned
 
 

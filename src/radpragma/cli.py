@@ -48,7 +48,6 @@ class Config:
     shift_threshold: float = 0.25
     f1_average: str = "macro"
     jobs: int = 1
-    seed: Optional[int] = None
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
@@ -437,9 +436,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int,
-                        help="recorded for reproducibility; all core "
-                             "operations are deterministic regardless")
     parser.add_argument("--lexicon", help="lexicon JSON path")
 
 

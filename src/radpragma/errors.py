@@ -16,13 +16,11 @@ class BackendError(RuntimeError):
     sentence index is set, the message names the study, sentence and rule.
     """
 
-    def __init__(self, message, *, rule_id=None, sentence_index=None,
-                 study_id=None, endpoint=None):
+    def __init__(self, message, *, study_id=None):
         super().__init__(message)
-        self.rule_id = rule_id
-        self.sentence_index = sentence_index
+        self.rule_id = None
+        self.sentence_index = None
         self.study_id = study_id
-        self.endpoint = endpoint
 
     def __str__(self):
         message = super().__str__()

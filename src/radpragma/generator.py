@@ -140,10 +140,9 @@ class RetrievalIndex:
         write_json(path, self.to_dict())
 
     @classmethod
-    def load(cls, path: str,
-             lexicon: Optional[Lexicon] = None) -> "RetrievalIndex":
+    def load(cls, path: str, lexicon: Lexicon) -> "RetrievalIndex":
         index = load_json(path, "retrieval index", cls.from_dict)
-        if lexicon is not None and index.lexicon_version != lexicon.version:
+        if index.lexicon_version != lexicon.version:
             raise InputError(
                 f"{path}: index lexicon version {index.lexicon_version!r} "
                 f"does not match lexicon version {lexicon.version!r}")
@@ -179,7 +178,7 @@ def build_index(cleaned_corpus: Sequence[Report],
         impression = normalize_text(report.impression)
         impressions[report.study_id] = impression
         sentences = segment_sentences(impression)
-        vectors = [label_sentence(sentence, lexicon) for sentence in sentences]
+        vectors = [label_sentence(s.text, lexicon) for s in sentences]
         positives = aggregate_labels(vectors).positives()
         by_label_set.setdefault(positives, []).append(report.study_id)
         for sentence, vector in zip(sentences, vectors):

@@ -19,12 +19,12 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .corpus_io import load_json
 from .errors import InputError
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
-                    LabelVector, Sentence, normalize_text, segment_sentences)
+                    LabelVector, normalize_text, segment_sentences)
 
 _WORD = re.compile(r"[a-z0-9]+")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
@@ -219,12 +219,11 @@ def _cue_ends(low: str, scans) -> list[int]:
     return sorted(m.end() for scan in scans for m in scan.finditer(low))
 
 
-def label_sentence(sentence: Union[str, Sentence],
+def label_sentence(sentence: str,
                    lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Label one sentence for all fourteen conditions."""
     lexicon = lexicon or default_lexicon()
-    text = sentence.text if isinstance(sentence, Sentence) else sentence
-    low = normalize_text(text).lower()
+    low = normalize_text(sentence).lower()
     compiled = lexicon._compiled
     starts: dict[int, list[int]] = {}
     for scan, owners in compiled["phrases"]:
@@ -280,7 +279,7 @@ def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:
 
 def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Segment text into sentences, label each, and aggregate."""
-    return aggregate_labels(label_sentence(s, lexicon)
+    return aggregate_labels(label_sentence(s.text, lexicon)
                             for s in segment_sentences(text))
 
 

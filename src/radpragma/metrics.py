@@ -89,17 +89,14 @@ def _columns(labels: Mapping[str, LabelVector], ids: Sequence[str],
 
 
 def _label_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
-              conditions: Sequence[Condition], target: LabelValue,
-              average: str) -> tuple[float, dict[Condition, ConditionF1]]:
-    conditions = tuple(conditions)
-    if any(c.is_no_finding for c in conditions):
-        raise ValueError("No Finding is excluded from F1 scoring")
+              target: LabelValue, average: str,
+              ) -> tuple[float, dict[Condition, ConditionF1]]:
     if average not in F1_AVERAGES:
         raise ValueError(f"unknown F1 average: {average!r}")
     ids = _aligned_ids(pred, ref)
     pred_columns, ref_columns = _columns(pred, ids), _columns(ref, ids)
     per_condition = {}
-    for condition in conditions:
+    for condition in SCORABLE_CONDITIONS:
         column = CONDITIONS.index(condition)
         hits, truths = pred_columns[column], ref_columns[column]
         # ``is`` and ``tuple.count`` compare by identity, so no Enum is hashed.
@@ -122,21 +119,17 @@ def _average(counts: Mapping[Condition, ConditionF1], average: str) -> float:
 
 
 def positive_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
-                conditions: Optional[Sequence[Condition]] = None,
                 average: str = "macro",
                 ) -> tuple[float, dict[Condition, ConditionF1]]:
-    """F1 of positive mentions, aggregated over the given conditions."""
-    return _label_f1(pred, ref, conditions or SCORABLE_CONDITIONS,
-                     LabelValue.POSITIVE, average)
+    """F1 of positive mentions over the 13 scorable conditions."""
+    return _label_f1(pred, ref, LabelValue.POSITIVE, average)
 
 
 def negative_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
-                conditions: Optional[Sequence[Condition]] = None,
                 average: str = "macro",
                 ) -> tuple[float, dict[Condition, ConditionF1]]:
-    """F1 of negative mentions, aggregated over the given conditions."""
-    return _label_f1(pred, ref, conditions or SCORABLE_CONDITIONS,
-                     LabelValue.NEGATIVE, average)
+    """F1 of negative mentions over the 13 scorable conditions."""
+    return _label_f1(pred, ref, LabelValue.NEGATIVE, average)
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -316,14 +309,14 @@ class MetricsReport:
 
 
 def _most_supported(counts: Mapping[Condition, ConditionF1],
-                    k: int = 5) -> tuple[Condition, ...]:
-    """The k conditions with the most support in ``counts``, the positive
+                    ) -> tuple[Condition, ...]:
+    """The five conditions with the most support in ``counts``, the positive
     counts of every scorable condition in canonical order; the sort is
     stable, so ties stay in canonical order. With no support at all, the
     shipped default."""
     if not any(s.support for s in counts.values()):
         return POSITIVE_F1_5_DEFAULT
-    return tuple(sorted(counts, key=lambda c: -counts[c].support)[:k])
+    return tuple(sorted(counts, key=lambda c: -counts[c].support)[:5])
 
 
 def evaluate_generation(generated: Sequence[Report],

@@ -150,15 +150,8 @@ class TestLabelGuard:
         script = {(5, "New pneumonia."): "Pneumonia, stable.",
                   (6, "Pneumonia, stable."): "No pneumonia."}
         backend = ScriptedBackend(script)
-        rules = (RULES[5], RULES[6])
-        got = clean_sentence("New pneumonia.", backend, rules=rules,
-                             lexicon=lexicon)
+        got = clean_sentence("New pneumonia.", backend, lexicon=lexicon)
         assert got == "Pneumonia, stable."
-
-    def test_out_of_order_rules_rejected(self, lexicon, pattern):
-        with pytest.raises(InputError, match="ordered"):
-            clean_sentence("x", pattern, rules=(RULES[2], RULES[1]),
-                           lexicon=lexicon)
 
     def test_guard_holds_against_adversarial_backend(self, lexicon):
         backend = AdversarialBackend()
@@ -173,15 +166,6 @@ class TestLabelGuard:
 
 
 class TestCleanReport:
-    @pytest.mark.parametrize("ids", [(2, 1), (1, 3, 3)])
-    def test_misordered_or_duplicate_rules_rejected(self, lexicon, pattern,
-                                                    ids):
-        report = Report(study_id="s", impression="Recommend CT. No edema.")
-        with pytest.raises(InputError, match="ordered by unique id"):
-            clean_report_audited(report, pattern,
-                                 rules=tuple(RULES[i] for i in ids),
-                                 lexicon=lexicon)
-
     def test_all_communication_impression_empties(self, lexicon, pattern):
         report = Report(
             study_id="s", indication="",
@@ -255,6 +239,7 @@ class TestCleanReport:
             clean_report(report, FailingBackend(), lexicon=lexicon)
         assert info.value.sentence_index == 1
         assert info.value.study_id == "s9"
+        assert info.value.rule_id == 3
 
 
 class TestPatternBackendProperties:

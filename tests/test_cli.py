@@ -227,7 +227,7 @@ class TestInputErrors:
 
     def test_config_values_of_field_type_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"timeout": 5, "seed": None,
+        config.write_text(json.dumps({"timeout": 5, "clean_endpoint": None,
                                       "jobs": 1, "f1_average": "macro"}))
         out = tmp_path / "labels.csv"
         assert main(["label", "--in", CORPUS, "--config", str(config),
@@ -376,15 +376,13 @@ class TestInputErrors:
 class TestLabelCommand:
     def test_writes_labels_and_sidecar(self, tmp_path):
         out = tmp_path / "labels.csv"
-        code = main(["label", "--in", CORPUS, "--out", str(out),
-                     "--seed", "7"])
+        code = main(["label", "--in", CORPUS, "--out", str(out)])
         assert code == 0
         labels = read_labels_csv(str(out))
         assert set(labels) == {r.study_id
                                for r in read_reports_jsonl(CORPUS)}
         sidecar = json.loads((tmp_path / "labels.csv.run.json").read_text())
         assert sidecar["command"] == "label"
-        assert sidecar["config"]["seed"] == 7
 
 
 #: Each remote stage, less its endpoint URL, and its response's key.
@@ -722,6 +720,17 @@ class TestRemoteFailures:
         out = tmp_path / "out.jsonl"
         assert main(argv + [url, "--out", str(out)]) == 2
         _single_error(capsys, url, f"without {key!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
+    def test_lone_surrogate_in_response_exits_2(self, tmp_path, capsys,
+                                                http_endpoint, argv, key):
+        # The label guard accepts the rewrite: the surrogate labels nothing.
+        url = http_endpoint(lambda body, handler: (200, {
+            key: body.get("sentence", "No acute process.") + " \ud800"}))
+        out = tmp_path / "out.jsonl"
+        assert main(argv + [url, "--out", str(out)]) == 2
+        _single_error(capsys, url, "that UTF-8 cannot encode")
         assert not out.exists()
 
     def test_clean_remote_unreachable_exits_2_without_partial_output(

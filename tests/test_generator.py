@@ -259,14 +259,14 @@ class TestIndexSerialization:
         with pytest.raises(InputError, match="lexicon version"):
             RetrievalIndex.load(str(path), lexicon)
 
-    def test_format_version_checked(self, index, tmp_path):
+    def test_format_version_checked(self, index, lexicon, tmp_path):
         path = tmp_path / "index.json"
         index.save(str(path))
         obj = json.loads(path.read_text())
         obj["format_version"] = 99
         path.write_text(json.dumps(obj))
         with pytest.raises(InputError, match="format version"):
-            RetrievalIndex.load(str(path))
+            RetrievalIndex.load(str(path), lexicon)
 
     def test_generation_equal_after_round_trip(self, index, lexicon,
                                                tmp_path):

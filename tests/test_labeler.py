@@ -348,7 +348,8 @@ class TestAgainstOracle:
         for report in read_reports_jsonl(CORPUS):
             for text in (report.impression, report.indication):
                 for sentence in segment_sentences(text):
-                    assert _as_strings(label_sentence(sentence, lexicon)) \
+                    assert _as_strings(label_sentence(sentence.text,
+                                                      lexicon)) \
                         == oracle.label_sentence(sentence.text)
 
     @pytest.mark.parametrize("which", range(len(LEXICONS)))

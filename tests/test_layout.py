@@ -1,9 +1,10 @@
 """Checks on how the package loads, on the names the benchmark's tracer
 wraps, that no module keeps an import or private name it never reads, that
-no public name is read only by tests, and that only ``backends`` imports
-``requests``."""
+no public name is read only by tests, that only ``backends`` imports
+``requests``, and that a stage reads every configuration field."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 import radpragma
+from radpragma import cli
 from pipeline import pipeline_steps
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -258,3 +260,26 @@ def test_every_public_name_is_read_outside_tests():
               if not name.startswith("_") and name not in radpragma.__all__
               and name not in read]
     assert unread == []
+
+
+#: The cli functions that resolve, check or record the configuration; a
+#: field that only they touch changes nothing a stage does.
+CONFIG_PLUMBING = {"resolve_config", "_checked", "_file_values",
+                   "_write_run_config"}
+
+
+def test_every_config_field_is_read_by_a_stage():
+    read = set()
+    for function in _parse(os.path.join(PACKAGE, "cli.py")).body:
+        if (not isinstance(function, ast.FunctionDef)
+                or function.name in CONFIG_PLUMBING):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) == "config"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_endpoint"):
+                read.add(ast.literal_eval(node.args[1]))
+    assert [field.name for field in dataclasses.fields(cli.Config)
+            if field.name not in read] == []

@@ -33,8 +33,8 @@ class TestPositiveF1:
     def test_all_not_mentioned_prediction(self):
         ref = vectors({"s1": {Condition.EDEMA: POS}})
         pred = vectors({"s1": {}})
-        score, per = positive_f1(pred, ref, [Condition.EDEMA])
-        assert score == 0.0
+        _, per = positive_f1(pred, ref)
+        assert per[Condition.EDEMA].f1 == 0.0
         assert per[Condition.EDEMA].fn == 1
 
     def test_hand_confusion_matrix(self):
@@ -47,8 +47,8 @@ class TestPositiveF1:
                         "b": {Condition.EDEMA: POS},
                         "c": {},
                         "d": {Condition.EDEMA: POS}})
-        score, per = positive_f1(pred, ref, [Condition.EDEMA])
-        assert score == pytest.approx(2.0 / 3.0)
+        _, per = positive_f1(pred, ref)
+        assert per[Condition.EDEMA].f1 == pytest.approx(2.0 / 3.0)
         stats = per[Condition.EDEMA]
         assert (stats.tp, stats.fp, stats.fn) == (2, 1, 1)
 
@@ -57,10 +57,9 @@ class TestPositiveF1:
                        "b": {Condition.EDEMA: POS}})
         pred = vectors({"a": {Condition.EDEMA: POS},
                         "b": {Condition.EDEMA: POS}})
-        conditions = [Condition.EDEMA, Condition.PNEUMONIA]
-        macro, _ = positive_f1(pred, ref, conditions, average="macro")
-        micro, _ = positive_f1(pred, ref, conditions, average="micro")
-        assert macro == pytest.approx(0.5)          # (1.0 + 0.0) / 2
+        macro, _ = positive_f1(pred, ref, average="macro")
+        micro, _ = positive_f1(pred, ref, average="micro")
+        assert macro == pytest.approx(1 / 13)  # Edema 1.0; 12 others 0.0
         assert micro == pytest.approx(2 * 2 / (2 * 2 + 0 + 1))  # pooled
 
     def test_misalignment(self):
@@ -68,11 +67,6 @@ class TestPositiveF1:
         pred = vectors({"b": {}})
         with pytest.raises(InputError, match="misaligned"):
             positive_f1(pred, ref)
-
-    def test_no_finding_rejected(self):
-        ref = vectors({"a": {}})
-        with pytest.raises(ValueError, match="No Finding"):
-            positive_f1(ref, ref, [Condition.NO_FINDING])
 
     def test_matches_naive_oracle_on_random_labels(self):
         rng = random.Random(77)
@@ -97,8 +91,8 @@ class TestNegativeF1:
     def test_never_mentions_negatives(self):
         ref = vectors({"a": {Condition.EDEMA: NEG}})
         pred = vectors({"a": {Condition.EDEMA: POS}})
-        score, _ = negative_f1(pred, ref, [Condition.EDEMA])
-        assert score == 0.0
+        _, per = negative_f1(pred, ref)
+        assert per[Condition.EDEMA].f1 == 0.0
 
     def test_identity(self):
         ref = vectors({f"s{i}": {c: NEG} for i, c in enumerate(SCORABLE)})
@@ -110,8 +104,8 @@ class TestNegativeF1:
         ref = vectors({"a": {Condition.PNEUMONIA: NEG},
                        "b": {Condition.PNEUMONIA: NEG}})
         pred = vectors({"a": {Condition.PNEUMONIA: NEG}, "b": {}})
-        score, _ = negative_f1(pred, ref, [Condition.PNEUMONIA])
-        assert score == pytest.approx(2.0 / 3.0)
+        _, per = negative_f1(pred, ref)
+        assert per[Condition.PNEUMONIA].f1 == pytest.approx(2.0 / 3.0)
 
     def test_depends_only_on_negative_projection(self):
         rng = random.Random(5)
