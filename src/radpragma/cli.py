@@ -90,6 +90,11 @@ def resolve_config(args: argparse.Namespace) -> Config:
     path = getattr(args, "config", None)
     config = (Config(**corpus_io.load_json(path, "config", _file_values))
               if path else Config())
+    known = {ENV_PREFIX + name.upper() for name in _FIELD_TYPES}
+    for variable in sorted(os.environ):
+        if variable.startswith(ENV_PREFIX) and variable not in known:
+            print(f"warning: unknown environment variable {variable} is "
+                  f"ignored", file=sys.stderr)
     for name, declared in _FIELD_TYPES.items():
         variable = ENV_PREFIX + name.upper()
         raw = os.environ.get(variable)
@@ -131,14 +136,16 @@ def _load_catalog(config: Config) -> metrics.KeywordCatalog:
 
 
 def _write_run_config(primary_out: Optional[str], command: str,
-                      config: Config, inputs: dict) -> None:
+                      config: Config, inputs: dict,
+                      lexicon: Optional[Lexicon]) -> None:
     if primary_out:
         # Only whether a token is sent: the file is world-readable under the
         # usual umask, and every stage writes one.
         recorded = asdict(config) | {"auth_token": bool(config.auth_token)}
-        corpus_io.write_json(primary_out + ".run.json",
-                             {"command": command, "config": recorded,
-                              "inputs": inputs})
+        run = {"command": command, "config": recorded, "inputs": inputs}
+        if lexicon is not None:
+            run["label_memo"] = lexicon.memo_counts()
+        corpus_io.write_json(primary_out + ".run.json", run)
 
 
 def _run_all(work, items, workers: int) -> list:
@@ -163,26 +170,28 @@ def _cell(value) -> str:
 
 def _labeled_corpus(args, config: Config) -> tuple:
     """The ``--in`` corpus, its labels (``--labels`` if given, else the
-    labeler's) and its indication mention sets."""
+    labeler's), its indication mention sets and the lexicon."""
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
     labels = (corpus_io.read_labels_csv(args.labels) if args.labels
               else label_corpus(corpus, lexicon))
-    return corpus, labels, indication_mention_sets(corpus, lexicon)
+    return corpus, labels, indication_mention_sets(corpus, lexicon), lexicon
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each takes the parsed arguments and the resolved
-# Config, and returns the inputs that ``<out>.run.json`` records.
+# Config, and returns what ``<out>.run.json`` records: the inputs, and the
+# lexicon whose memo counts it records (None for a stage that labels
+# nothing).
 # ---------------------------------------------------------------------------
 
 
-def cmd_label(args, config: Config) -> dict:
+def cmd_label(args, config: Config) -> tuple:
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
     labels = label_corpus(corpus, lexicon)
     corpus_io.write_labels_csv(labels, args.out)
-    return {"in": args.infile}
+    return {"in": args.infile}, lexicon
 
 
 def _summary_csv(summary: stats.CorpusSummary) -> str:
@@ -217,18 +226,18 @@ def _print_summary(summary: stats.CorpusSummary) -> None:
               f"{cstats.indication_mentions:7d} {pct:>12s}")
 
 
-def cmd_stats(args, config: Config) -> dict:
+def cmd_stats(args, config: Config) -> tuple:
     from . import stats
-    corpus, labels, mentions = _labeled_corpus(args, config)
+    corpus, labels, mentions, lexicon = _labeled_corpus(args, config)
     summary = stats.summarize(corpus, labels, mentions)
     corpus_io.write_text_atomic(args.out, _summary_csv(summary))
     if args.json:
         corpus_io.write_json(args.json, summary.to_dict())
     _print_summary(summary)
-    return {"in": args.infile, "labels": args.labels}
+    return {"in": args.infile, "labels": args.labels}, lexicon
 
 
-def cmd_chi2(args, config: Config) -> dict:
+def cmd_chi2(args, config: Config) -> tuple:
     from . import stats
     conditions = SCORABLE_CONDITIONS
     if args.condition:
@@ -237,7 +246,7 @@ def cmd_chi2(args, config: Config) -> dict:
             raise InputError(f"unknown condition {args.condition!r}: "
                              f"--condition takes one of {', '.join(by_name)}")
         conditions = [by_name[args.condition]]
-    corpus, labels, mentions = _labeled_corpus(args, config)
+    corpus, labels, mentions, lexicon = _labeled_corpus(args, config)
     rows = [["condition", "p_in", "p_out", "statistic", "p_value",
              "significant"]]
     for condition in conditions:
@@ -253,10 +262,10 @@ def cmd_chi2(args, config: Config) -> dict:
         rows.append([condition.value, _fmt(p_in), _fmt(p_out),
                      stat_text, p_text, significant])
     corpus_io.write_text_atomic(args.out, corpus_io.csv_text(rows))
-    return {"in": args.infile, "labels": args.labels}
+    return {"in": args.infile, "labels": args.labels}, lexicon
 
 
-def cmd_shift(args, config: Config) -> dict:
+def cmd_shift(args, config: Config) -> tuple:
     from . import stats
     split_a, split_b = (
         corpus_io.load_json(path, "summary", stats.CorpusSummary.from_dict)
@@ -274,10 +283,10 @@ def cmd_shift(args, config: Config) -> dict:
     for delta in flagged:
         print(f"  {delta.field}: {_fmt(delta.a)} -> {_fmt(delta.b)} "
               f"(relative {_fmt(delta.relative)})")
-    return {"a": args.a, "b": args.b}
+    return {"a": args.a, "b": args.b}, None
 
 
-def cmd_clean(args, config: Config) -> dict:
+def cmd_clean(args, config: Config) -> tuple:
     from . import backends, cleaning
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
@@ -305,7 +314,7 @@ def cmd_clean(args, config: Config) -> dict:
             args.audit, ({"study_id": report.study_id, **audit.to_dict()}
                          for report, (_, audits) in zip(corpus, results)
                          for audit in audits), sort_keys=True)
-    return {"in": args.infile, "backend": args.backend}
+    return {"in": args.infile, "backend": args.backend}, lexicon
 
 
 def _read_sentences(path: str) -> list[str]:
@@ -313,7 +322,7 @@ def _read_sentences(path: str) -> list[str]:
         return [line.rstrip("\n") for line in handle]
 
 
-def cmd_clean_eval(args, config: Config) -> dict:
+def cmd_clean_eval(args, config: Config) -> tuple:
     from . import cleaning
     lexicon = _load_lexicon(config)
     scores = cleaning.evaluate_cleaning(
@@ -323,16 +332,16 @@ def cmd_clean_eval(args, config: Config) -> dict:
         corpus_io.write_json(args.out, scores)
     print(json.dumps(scores, ensure_ascii=False, sort_keys=True, indent=2))
     return {"machine": args.machine, "manual": args.manual,
-            "original": args.original}
+            "original": args.original}, lexicon
 
 
-def cmd_index(args, config: Config) -> dict:
+def cmd_index(args, config: Config) -> tuple:
     from . import generator
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
     index = generator.build_index(corpus, lexicon)
     index.save(args.out)
-    return {"in": args.infile}
+    return {"in": args.infile}, lexicon
 
 
 def _read_predictions(path: str) -> dict[str, frozenset]:
@@ -360,7 +369,7 @@ def _build_requests(args) -> list[generator.GenerationRequest]:
     return requests_out
 
 
-def cmd_generate(args, config: Config) -> dict:
+def cmd_generate(args, config: Config) -> tuple:
     from . import generator
     lexicon = _load_lexicon(config)
     requests_in = _build_requests(args)
@@ -387,14 +396,14 @@ def cmd_generate(args, config: Config) -> dict:
         corpus_io.write_jsonl(args.audit, (r.audit_dict() for r in results),
                               sort_keys=True)
     return {"requests": args.requests, "index": args.index,
-            "predictions": args.predictions, "mode": args.mode}
+            "predictions": args.predictions, "mode": args.mode}, lexicon
 
 
 _METRICS_CSV_COLUMNS = ["pos_f1", "pos_f1_5", "bleu2", "clean_bleu2",
                         "neg_f1", "neg_f1_5", "hallucination_rate"]
 
 
-def cmd_evaluate(args, config: Config) -> dict:
+def cmd_evaluate(args, config: Config) -> tuple:
     lexicon = _load_lexicon(config)
     catalog = _load_catalog(config)
     generated = corpus_io.read_reports_jsonl(args.generated)
@@ -417,7 +426,7 @@ def cmd_evaluate(args, config: Config) -> dict:
         print(f"{column:20s} {_fmt(scores[column])}")
     return {"generated": args.generated, "ref_original": args.ref_original,
             "ref_clean": args.ref_clean,
-            "ref_original_labels": args.ref_original_labels}
+            "ref_original_labels": args.ref_original_labels}, lexicon
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +558,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        inputs = args.handler(args, config)
-        _write_run_config(args.out, args.command, config, inputs)
+        inputs, lexicon = args.handler(args, config)
+        _write_run_config(args.out, args.command, config, inputs, lexicon)
         return 0
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)

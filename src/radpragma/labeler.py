@@ -9,6 +9,12 @@ the cue ends at or before the phrase starts, within the same sentence, with
 fewer than ``scope_window`` word tokens in between. Uncertainty outranks
 negation when both are in scope. No Finding ignores cues entirely: it is
 positive exactly when one of its explicit phrases matches.
+
+Memo: each ``Lexicon`` instance keeps the labels of the sentences it has
+labeled, keyed by the text exactly as given, and every caller that labels
+with that instance shares them. The memo holds at most ``_MEMO_CAP``
+sentences and is cleared when full. Equal label vectors are one shared
+``LabelVector``, which is safe because it is immutable.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
@@ -30,8 +37,10 @@ _WORD = re.compile(r"[a-z0-9]+")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 _NO_FINDING = CONDITIONS.index(Condition.NO_FINDING)
 
-_POS, _UNC, _NEG, _NM = (LabelValue.POSITIVE, LabelValue.UNCERTAIN,
-                         LabelValue.NEGATIVE, LabelValue.NOT_MENTIONED)
+_POS, _UNC, _NEG, _NM = _VALUES = (
+    LabelValue.POSITIVE, LabelValue.UNCERTAIN, LabelValue.NEGATIVE,
+    LabelValue.NOT_MENTIONED)
+_POS_CODE, _UNC_CODE, _NEG_CODE, _NM_CODE = range(len(_VALUES))
 
 
 def _overlap_from(a: str, b: str) -> bool:
@@ -131,6 +140,24 @@ def _cue_scans(cues: Iterable[str]) -> tuple[re.Pattern, ...]:
     return tuple(scans)
 
 
+#: Sentences a Lexicon's memo holds before it is cleared: about 4.5 MB
+#: of typical report sentences.
+_MEMO_CAP = 32_768
+
+
+class _SentenceMemo:
+    """The label vectors of the sentences one Lexicon has labeled, and each
+    distinct vector once, keyed by its value codes. Threads may share it."""
+
+    __slots__ = ("labels", "vectors", "hits", "misses", "lock")
+
+    def __init__(self):
+        self.labels: dict[str, LabelVector] = {}
+        self.vectors: dict[bytes, LabelVector] = {}
+        self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+
 def _check_entry(entry, what: str) -> None:
     # The labeler matches entries against normalized, lowercased text, so
     # any other entry would never match, or (if empty) match everywhere.
@@ -157,6 +184,7 @@ class Lexicon:
     uncertainty_cues: tuple[str, ...]
     phrases: tuple[tuple[Condition, tuple[str, ...]], ...]
     _compiled: dict = field(default=None, compare=False, repr=False)
+    _memo: _SentenceMemo = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         window = self.scope_window
@@ -183,6 +211,7 @@ class Lexicon:
             "uncertainty": _cue_scans(self.uncertainty_cues),
         }
         object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_memo", _SentenceMemo())
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Lexicon":
@@ -206,6 +235,11 @@ class Lexicon:
     def load(cls, path: str) -> "Lexicon":
         return load_json(path, "lexicon", cls.from_dict)
 
+    def memo_counts(self) -> dict[str, int]:
+        """Calls of ``label_sentence`` with this lexicon that the memo
+        answered (hits) and that labeled the text (misses)."""
+        return {"hits": self._memo.hits, "misses": self._memo.misses}
+
 
 @functools.cache
 def default_lexicon() -> Lexicon:
@@ -221,20 +255,44 @@ def _cue_ends(low: str, scans) -> list[int]:
 
 def label_sentence(sentence: str,
                    lexicon: Optional[Lexicon] = None) -> LabelVector:
-    """Label one sentence for all fourteen conditions."""
+    """Label one sentence for all fourteen conditions, from the lexicon's
+    memo if it has labeled the same text before."""
     lexicon = lexicon or default_lexicon()
-    low = normalize_text(sentence).lower()
+    memo = lexicon._memo
+    with memo.lock:
+        vector = memo.labels.get(sentence)
+        if vector is not None:
+            memo.hits += 1
+            return vector
+        memo.misses += 1
+    codes = _label_codes(normalize_text(sentence).lower(), lexicon)
+    with memo.lock:
+        if len(memo.labels) >= _MEMO_CAP:
+            # The intern table goes too, so it never outgrows the memo.
+            memo.labels.clear()
+            memo.vectors.clear()
+        vector = memo.vectors.get(codes)
+        if vector is None:
+            vector = memo.vectors[codes] = LabelVector(
+                tuple(_VALUES[code] for code in codes))
+        memo.labels[sentence] = vector
+    return vector
+
+
+def _label_codes(low: str, lexicon: Lexicon) -> bytes:
+    """The labels of normalized, lowercased text, one index into
+    ``_VALUES`` per condition."""
     compiled = lexicon._compiled
     starts: dict[int, list[int]] = {}
     for scan, owners in compiled["phrases"]:
         for match in scan.finditer(low):
             starts.setdefault(owners[match.lastindex - 1], []).append(
                 match.start())
-    values = [_NM] * len(CONDITIONS)
+    codes = bytearray([_NM_CODE]) * len(CONDITIONS)
     if starts.pop(_NO_FINDING, None):
-        values[_NO_FINDING] = _POS
+        codes[_NO_FINDING] = _POS_CODE
     if not starts:
-        return LabelVector(tuple(values))
+        return bytes(codes)
 
     uncertainty_ends = _cue_ends(low, compiled["uncertainty"])
     negation_ends = _cue_ends(low, compiled["negation"])
@@ -250,12 +308,12 @@ def label_sentence(sentence: str,
 
     for index, found in starts.items():
         if any(in_scope(uncertainty_ends, start) for start in found):
-            values[index] = _UNC
+            codes[index] = _UNC_CODE
         elif any(in_scope(negation_ends, start) for start in found):
-            values[index] = _NEG
+            codes[index] = _NEG_CODE
         else:
-            values[index] = _POS
-    return LabelVector(tuple(values))
+            codes[index] = _POS_CODE
+    return bytes(codes)
 
 
 def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:

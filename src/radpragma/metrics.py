@@ -132,10 +132,52 @@ def negative_f1(pred: Mapping[str, LabelVector], ref: Mapping[str, LabelVector],
     return _label_f1(pred, ref, LabelValue.NEGATIVE, average)
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    if n == 1:
-        return Counter(tokens)
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
+    """Hypothesis n-grams matched in the reference, each at most as often
+    as the reference has it."""
+    # A plain loop with dict.get calls neither Counter.__missing__ nor min()
+    # per n-gram; it is the inner loop of evaluate's BLEU pass.
+    clipped = 0
+    for gram, count in hyp_counts.items():
+        ref_count = ref_counts.get(gram, 0)
+        clipped += count if count < ref_count else ref_count
+    return clipped
+
+
+def _bleu2_scores(hypotheses: Sequence[str],
+                  *reference_lists: Sequence[str]) -> list[float]:
+    """``bleu2`` of ``hypotheses`` against each reference list, in one pass
+    that tokenizes and counts each hypothesis's n-grams once."""
+    for references in reference_lists:
+        if len(hypotheses) != len(references):
+            raise InputError(
+                f"hypothesis/reference length mismatch: {len(hypotheses)} "
+                f"vs {len(references)}")
+    hyp_len = bigram_total = 0
+    # Per reference list: reference length, clipped unigrams and bigrams.
+    sums = [[0, 0, 0] for _ in reference_lists]
+    for i, hypothesis in enumerate(hypotheses):
+        tokens = tokenize(hypothesis)
+        unigrams, bigrams = Counter(tokens), Counter(zip(tokens, tokens[1:]))
+        hyp_len += len(tokens)
+        bigram_total += max(len(tokens) - 1, 0)
+        for references, acc in zip(reference_lists, sums):
+            ref_tokens = tokenize(references[i])
+            acc[0] += len(ref_tokens)
+            acc[1] += _clipped(unigrams, Counter(ref_tokens))
+            acc[2] += _clipped(bigrams,
+                               Counter(zip(ref_tokens, ref_tokens[1:])))
+    scores = []
+    for ref_len, clipped1, clipped2 in sums:
+        if 0 in (hyp_len, bigram_total, clipped1, clipped2):
+            scores.append(0.0)
+            continue
+        p1 = clipped1 / hyp_len
+        p2 = clipped2 / bigram_total
+        brevity = (1.0 if hyp_len >= ref_len
+                   else math.exp(1.0 - ref_len / hyp_len))
+        scores.append(brevity * math.sqrt(p1 * p2))
+    return scores
 
 
 def bleu2(hypotheses: Sequence[str], references: Sequence[str]) -> float:
@@ -145,32 +187,13 @@ def bleu2(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     Tokenization is lowercase, split on non-alphanumeric characters. One
     reference per hypothesis. An empty hypothesis corpus scores 0.
     """
-    if len(hypotheses) != len(references):
-        raise InputError(
-            f"hypothesis/reference length mismatch: {len(hypotheses)} vs "
-            f"{len(references)}")
-    hyp_len = ref_len = 0
-    clipped = [0, 0]
-    totals = [0, 0]
-    for hypothesis, reference in zip(hypotheses, references):
-        hyp_tokens = tokenize(hypothesis)
-        ref_tokens = tokenize(reference)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        for n in (1, 2):
-            hyp_counts = _ngram_counts(hyp_tokens, n)
-            ref_counts = _ngram_counts(ref_tokens, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            clipped[n - 1] += sum(min(count, ref_counts[gram])
-                                  for gram, count in hyp_counts.items())
-    if hyp_len == 0:
-        return 0.0
-    if totals[0] == 0 or totals[1] == 0 or clipped[0] == 0 or clipped[1] == 0:
-        return 0.0
-    p1 = clipped[0] / totals[0]
-    p2 = clipped[1] / totals[1]
-    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return brevity * math.sqrt(p1 * p2)
+    return _bleu2_scores(hypotheses, references)[0]
+
+
+def _once_per_text(function, texts: Sequence[str]) -> list:
+    """``function`` of each text, called once per distinct text."""
+    results = {text: function(text) for text in dict.fromkeys(texts)}
+    return [results[text] for text in texts]
 
 
 def exact_match_accuracy(hypotheses: Sequence[str],
@@ -255,8 +278,7 @@ def hallucination_rate(reports: Sequence[str],
     names = catalog.category_names
     flagged_any = 0
     flagged = {name: 0 for name in names}
-    for text in reports:
-        hits = catalog.flags(text)
+    for hits in _once_per_text(catalog.flags, reports):
         if hits:
             flagged_any += 1
         for name in hits:
@@ -343,14 +365,15 @@ def evaluate_generation(generated: Sequence[Report],
                 f"generated and {name} reference corpora are misaligned")
     ids = [r.study_id for r in generated]
 
-    gen_labels = {i: label_report(gen_by_id[i].impression, lexicon)
-                  for i in ids}
+    label = functools.partial(label_report, lexicon=lexicon)
+    gen_texts = [gen_by_id[i].impression for i in ids]
+    orig_texts = [orig_by_id[i].impression for i in ids]
+    gen_labels = dict(zip(ids, _once_per_text(label, gen_texts)))
     if reference_labels is not None:
         ref_labels = {i: lookup(reference_labels, i, "reference labels")
                       for i in ids}
     else:
-        ref_labels = {i: label_report(orig_by_id[i].impression, lexicon)
-                      for i in ids}
+        ref_labels = dict(zip(ids, _once_per_text(label, orig_texts)))
 
     pos_score, pos_per = positive_f1(gen_labels, ref_labels, average=average)
     neg_score, neg_per = negative_f1(gen_labels, ref_labels, average=average)
@@ -358,9 +381,8 @@ def evaluate_generation(generated: Sequence[Report],
     pos5_score = _average({c: pos_per[c] for c in pos_five}, average)
     neg5_score = _average({c: neg_per[c] for c in NEGATIVE_F1_5}, average)
 
-    gen_texts = [gen_by_id[i].impression for i in ids]
-    bleu = bleu2(gen_texts, [orig_by_id[i].impression for i in ids])
-    clean_bleu = bleu2(gen_texts, [clean_by_id[i].impression for i in ids])
+    bleu, clean_bleu = _bleu2_scores(
+        gen_texts, orig_texts, [clean_by_id[i].impression for i in ids])
     rate, by_category = hallucination_rate(gen_texts, catalog)
 
     return MetricsReport(

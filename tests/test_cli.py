@@ -13,6 +13,7 @@ from radpragma import corpus_io
 from radpragma.cleaning import SentenceAudit
 from radpragma.cli import main
 from radpragma.corpus_io import read_labels_csv, read_reports_jsonl
+from radpragma.model import segment_sentences
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus.jsonl")
@@ -131,6 +132,19 @@ class TestInputErrors:
                      "--out", str(tmp_path / "labels.csv")])
         assert code == 1
         _single_error(capsys, "RADPRAGMA_JOBS", "'abc'")
+
+    def test_unknown_env_variable_warns_and_changes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        plain = tmp_path / "plain.csv"
+        assert main(["label", "--in", CORPUS, "--out", str(plain)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("RADPRAGMA_JOB", "4")
+        out = tmp_path / "labels.csv"
+        assert main(["label", "--in", CORPUS, "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:"), lines
+        assert "RADPRAGMA_JOB " in lines[0]
+        assert out.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("values", [{"jobs": "4"}, {"timeout": None},
                                         {"retries": True}, [1]])
@@ -384,6 +398,20 @@ class TestLabelCommand:
         sidecar = json.loads((tmp_path / "labels.csv.run.json").read_text())
         assert sidecar["command"] == "label"
 
+    def test_run_record_counts_memo_hits_and_misses(self, tmp_path):
+        # A lexicon loaded from a file has an empty memo.
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(shipped_lexicon_json()))
+        out = tmp_path / "labels.csv"
+        assert main(["label", "--in", CORPUS, "--lexicon", str(lexicon),
+                     "--out", str(out)]) == 0
+        sentences = [s.text for r in read_reports_jsonl(CORPUS)
+                     for s in segment_sentences(r.impression)]
+        sidecar = json.loads((tmp_path / "labels.csv.run.json").read_text())
+        counts = sidecar["label_memo"]
+        assert counts["hits"] + counts["misses"] == len(sentences)
+        assert counts["misses"] == len(set(sentences)) < len(sentences)
+
 
 #: Each remote stage, less its endpoint URL, and its response's key.
 _REMOTE_STAGES = [
@@ -445,6 +473,7 @@ class TestRunRecord:
                 run = json.load(handle)
             assert run["command"] == argv[0]
             assert sorted(run["inputs"]) == self.RUN_INPUTS[argv[0]]
+            assert ("label_memo" in run) == (argv[0] != "shift")
             assert run["config"]["auth_token"] is True
 
     @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
@@ -886,3 +915,30 @@ class TestRemoteFailures:
                      "--jobs", "4"])
         assert code == 0
         assert len(read_reports_jsonl(str(out))) == 12
+
+    def test_clean_remote_jobs_2_writes_what_jobs_1_writes(self, tmp_path,
+                                                            http_endpoint):
+        # The endpoint rewrites as the pattern backend does, so the label
+        # guard has rewrites to check; the worker threads share one
+        # lexicon and its memo, which starts empty.
+        from radpragma.backends import PatternBackend
+        from radpragma.cleaning import DEFAULT_RULES
+        rules = {rule.rule_id: rule for rule in DEFAULT_RULES}
+        backend = PatternBackend()
+        url = http_endpoint(lambda body, handler: (200, {
+            "rewritten": backend.rewrite(rules[body["rule_id"]],
+                                         body["sentence"])}))
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(shipped_lexicon_json()))
+        written = {}
+        for jobs in ("1", "2", "pattern"):
+            out, audit = tmp_path / f"{jobs}.jsonl", tmp_path / f"{jobs}.audit"
+            argv = (["--backend", "pattern"] if jobs == "pattern" else
+                    ["--backend", "remote", "--clean-endpoint", url,
+                     "--jobs", jobs])
+            assert main(["clean", "--in", CORPUS, "--lexicon", str(lexicon),
+                         "--out", str(out), "--audit", str(audit)]
+                        + argv) == 0
+            written[jobs] = (out.read_bytes(), audit.read_bytes())
+        assert written["2"] == written["1"] == written["pattern"]
+        assert b"accepted" in written["1"][1]

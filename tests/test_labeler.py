@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from labeler_oracle import OracleLabeler
 from labeler_oracle import aggregate_labels as oracle_aggregate
 from synth import shipped_lexicon_json
+from radpragma import labeler
 from radpragma.cli import main
 from radpragma.corpus_io import read_reports_jsonl
 from radpragma.errors import InputError
@@ -246,6 +249,87 @@ class TestLexicon:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(path) in lines[0] and "negation_cues" in lines[0]
         assert not out.exists()
+
+
+def _corpus_sentences():
+    """The fixture corpus's impression and indication sentences, with
+    repeats, in reading order."""
+    return [s.text for r in read_reports_jsonl(CORPUS)
+            for text in (r.impression, r.indication)
+            for s in segment_sentences(text)]
+
+
+class TestSentenceMemo:
+    """Each Lexicon keeps a bounded memo of the sentences it labeled."""
+
+    def test_labels_survive_clearing_and_memo_stays_bounded(
+            self, monkeypatch):
+        sentences = _corpus_sentences()
+        expected = [label_sentence(s, Lexicon.from_dict(
+            shipped_lexicon_json())) for s in sentences]
+        monkeypatch.setattr(labeler, "_MEMO_CAP", 3)
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
+        for _ in range(2):
+            for sentence, vector in zip(sentences, expected):
+                assert label_sentence(sentence, lexicon) == vector
+                assert len(lexicon._memo.labels) <= 3
+        counts = lexicon.memo_counts()
+        assert counts["hits"] + counts["misses"] == 2 * len(sentences)
+        assert counts["misses"] > len(set(sentences))
+
+    def test_equal_vectors_are_one_object(self):
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
+        first = label_sentence("No pneumothorax.", lexicon)
+        assert label_sentence("There is no pneumothorax.", lexicon) is first
+        assert label_sentence("No pneumothorax.", lexicon) is first
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        used = Lexicon.from_dict(shipped_lexicon_json())
+        unused = Lexicon.from_dict(shipped_lexicon_json())
+        label_report("No pneumothorax. Small effusion.", used)
+        assert used.memo_counts()["misses"] == 2
+        assert used == unused and hash(used) == hash(unused)
+
+    def test_threads_sharing_a_lexicon_get_single_thread_labels(
+            self, monkeypatch):
+        sentences = _corpus_sentences()
+        expected = [label_sentence(s, Lexicon.from_dict(
+            shipped_lexicon_json())) for s in sentences]
+        # A cap below the distinct sentence count, so that threads clear
+        # the memo while others read and fill it.
+        monkeypatch.setattr(labeler, "_MEMO_CAP", 7)
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
+        results = {}
+
+        def work(worker):
+            got = []
+            for round_ in range(20):
+                shift = (worker * 5 + round_) % len(sentences)
+                order = list(range(shift, len(sentences))) + list(
+                    range(shift))
+                got.append({i: label_sentence(sentences[i], lexicon)
+                            for i in order})
+            results[worker] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,))
+                       for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for rounds in results.values():
+            for got in rounds:
+                assert [got[i] for i in range(len(sentences))] == expected
+        assert len(lexicon._memo.labels) <= 7
+        counts = lexicon.memo_counts()
+        assert counts["hits"] + counts["misses"] == 4 * 20 * len(sentences)
 
 
 def _variant(window, negation=None, uncertainty=None, phrases=None):

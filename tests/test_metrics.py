@@ -9,9 +9,10 @@ from synth import (NEGATIVE_SENTENCE, POSITIVE_SENTENCE, SCORABLE,
 
 from radpragma.errors import InputError
 from radpragma.metrics import (NEGATIVE_F1_5, POSITIVE_F1_5_DEFAULT,
-                               KeywordCatalog, bleu2, default_catalog,
-                               evaluate_generation, exact_match_accuracy,
-                               hallucination_rate, negative_f1, positive_f1)
+                               KeywordCatalog, _bleu2_scores, bleu2,
+                               default_catalog, evaluate_generation,
+                               exact_match_accuracy, hallucination_rate,
+                               negative_f1, positive_f1)
 from radpragma.model import Condition, LabelValue, LabelVector, Report
 
 POS = LabelValue.POSITIVE
@@ -165,6 +166,26 @@ class TestBleu2:
                 for _ in range(30)]
         assert bleu2(hyps, refs) == pytest.approx(naive_bleu2(hyps, refs),
                                                   abs=1e-12)
+
+    @given(st.data())
+    def test_shared_pass_scores_each_reference_list_as_bleu2(self, data):
+        # Hypotheses of zero, one or more tokens; each reference list as
+        # long as the hypotheses, or (last draw) possibly not.
+        texts = st.lists(st.sampled_from(["no", "acute", "edema", "Edema.",
+                                          "small", "effusion"]),
+                         max_size=4).map(" ".join)
+        hyps = data.draw(st.lists(texts, max_size=6))
+        refs = [data.draw(st.lists(texts, min_size=len(hyps),
+                                   max_size=len(hyps))) for _ in range(2)]
+        refs.append(data.draw(st.lists(texts, max_size=7)))
+        if len(refs[2]) != len(hyps):
+            with pytest.raises(InputError, match="mismatch"):
+                _bleu2_scores(hyps, *refs)
+            refs.pop()
+        scores = _bleu2_scores(hyps, *refs)
+        assert scores == [bleu2(hyps, r) for r in refs]
+        for score, r in zip(scores, refs):
+            assert score == pytest.approx(naive_bleu2(hyps, r), abs=1e-12)
 
     @given(st.lists(st.text(alphabet="abc XY.,", min_size=0, max_size=20),
                     min_size=0, max_size=6))
