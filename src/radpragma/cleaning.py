@@ -12,6 +12,9 @@ any condition.
 
 from __future__ import annotations
 
+import functools
+import json
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
@@ -168,16 +171,57 @@ class RuleOutcome:
                 "accepted": self.accepted, "reason": self.reason}
 
 
+@dataclass(frozen=True)
+class SentenceAudit:
+    """Audit record of one sentence's fold. It depends only on the sentence
+    text (for one backend and lexicon), so a ``FoldMemo`` shares one among
+    the sentences with that text; a sentence's index is its position in its
+    report's audit list."""
+
+    original: str
+    final: str
+    outcomes: tuple[RuleOutcome, ...]
+
+    def to_dict(self) -> dict:
+        return {"original": self.original, "final": self.final,
+                "outcomes": [o.to_dict() for o in self.outcomes]}
+
+    @functools.cached_property
+    def _json(self) -> tuple[str, str]:
+        # This record as sorted-key JSON, split where a report adds its
+        # keys: "index" sorts between "final" and "original", "study_id"
+        # after "outcomes".
+        return (f'{{"final": {_encode(self.final)}, "index": ',
+                f', "original": {_encode(self.original)}, "outcomes": '
+                f'{_encode([o.to_dict() for o in self.outcomes])}, '
+                f'"study_id": ')
+
+
+#: ``json.dumps(value, ensure_ascii=False, sort_keys=True)``, without
+#: making an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
+def audit_jsonl(study_id: str, audits: Sequence[SentenceAudit]) -> str:
+    """A report's audit as JSON lines: line ``i`` is
+    ``json.dumps({"study_id": study_id, "index": i, **audits[i].to_dict()},
+    ensure_ascii=False, sort_keys=True)``, built from each audit's JSON,
+    which is encoded once per ``SentenceAudit``."""
+    end = f"{_encode(study_id)}}}\n"
+    return "".join(f"{audit._json[0]}{index}{audit._json[1]}{end}"
+                   for index, audit in enumerate(audits))
+
+
 def clean_sentence_audited(sentence: str,
                            backend: RewriteBackend,
                            lexicon: Optional[Lexicon] = None,
-                           ) -> tuple[str, list[RuleOutcome]]:
+                           ) -> SentenceAudit:
     """Fold DEFAULT_RULES, in rule-id order, over a sentence under the label
     guard; keep an audit."""
     current = normalize_text(sentence)
     outcomes: list[RuleOutcome] = []
     if current == REMOVED or not current:
-        return current, outcomes
+        return SentenceAudit(sentence, current, ())
     current_labels = label_sentence(current, lexicon)
     no_mentions = current_labels == LabelVector.all_not_mentioned()
     for rule in DEFAULT_RULES:
@@ -190,7 +234,7 @@ def clean_sentence_audited(sentence: str,
             if no_mentions:
                 outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
                                             "removed"))
-                return REMOVED, outcomes
+                return SentenceAudit(sentence, REMOVED, tuple(outcomes))
             outcomes.append(RuleOutcome(rule.rule_id, candidate, False,
                                         "guard-discarded-removal"))
             continue
@@ -201,30 +245,65 @@ def clean_sentence_audited(sentence: str,
         else:
             outcomes.append(RuleOutcome(rule.rule_id, candidate, False,
                                         "guard-discarded-rewrite"))
-    return current, outcomes
+    return SentenceAudit(sentence, current, tuple(outcomes))
 
 
 def clean_sentence(sentence: str, backend: RewriteBackend,
                    lexicon: Optional[Lexicon] = None) -> str:
-    final, _ = clean_sentence_audited(sentence, backend, lexicon)
-    return final
+    return clean_sentence_audited(sentence, backend, lexicon).final
 
 
-@dataclass(frozen=True)
-class SentenceAudit:
-    index: int
-    original: str
-    final: str
-    outcomes: tuple[RuleOutcome, ...]
+#: Distinct sentences a FoldMemo holds before it is cleared: about 1.3 MB
+#: of typical report sentences without an audit.
+_FOLD_MEMO_CAP = 8_192
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "original": self.original,
-                "final": self.final,
-                "outcomes": [o.to_dict() for o in self.outcomes]}
+
+class FoldMemo:
+    """The folds of the sentences one cleaning run has cleaned, with one
+    backend and one lexicon, keyed by the sentence text exactly as
+    ``segment_sentences`` gives it; threads may share it. With ``audit`` an
+    entry is the sentence's ``SentenceAudit``, else only its final text. It
+    holds at most ``_FOLD_MEMO_CAP`` sentences and is cleared when full. A
+    fold that raises is not stored."""
+
+    __slots__ = ("audit", "folds", "hits", "misses", "lock")
+
+    def __init__(self, audit: bool):
+        self.audit = audit
+        self.folds: dict[str, SentenceAudit | str] = {}
+        self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+    def fold(self, text: str, backend: RewriteBackend,
+             lexicon: Optional[Lexicon],
+             ) -> tuple[str, Optional[SentenceAudit]]:
+        """The final text of sentence ``text`` and, with ``audit``, its
+        audit, from the memo if this run has folded the same text."""
+        with self.lock:
+            entry = self.folds.get(text)
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        if entry is None:
+            entry = clean_sentence_audited(text, backend, lexicon)
+            if not self.audit:
+                entry = entry.final
+            with self.lock:
+                if len(self.folds) >= _FOLD_MEMO_CAP:
+                    self.folds.clear()
+                self.folds[text] = entry
+        return (entry.final, entry) if self.audit else (entry, None)
+
+    def counts(self) -> dict[str, int]:
+        """Sentences the memo answered (hits) and that were folded
+        (misses)."""
+        return {"hits": self.hits, "misses": self.misses}
 
 
 def clean_report_audited(report: Report, backend: RewriteBackend,
                          lexicon: Optional[Lexicon] = None,
+                         memo: Optional[FoldMemo] = None,
                          ) -> tuple[Report, list[SentenceAudit]]:
     """Clean every sentence of a report's impression.
 
@@ -233,19 +312,26 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
     holds per sentence: each cleaned sentence relabels as its original did.
     The rejoined impression need not, because a rewrite can drop a
     sentence's end mark, and a cue then scopes into the next sentence.
+
+    With a ``memo`` each distinct sentence is folded once per memo; a memo
+    made without ``audit`` returns no audits.
     """
     audits: list[SentenceAudit] = []
     kept: list[str] = []
     for sentence in segment_sentences(report.impression):
         try:
-            final, outcomes = clean_sentence_audited(
-                sentence.text, backend, lexicon)
+            if memo is None:
+                audit = clean_sentence_audited(sentence.text, backend,
+                                               lexicon)
+                final = audit.final
+            else:
+                final, audit = memo.fold(sentence.text, backend, lexicon)
         except BackendError as exc:
             exc.sentence_index = sentence.index
             exc.study_id = report.study_id
             raise
-        audits.append(SentenceAudit(sentence.index, sentence.text, final,
-                                    tuple(outcomes)))
+        if audit is not None:
+            audits.append(audit)
         if final != REMOVED:
             kept.append(final)
     return replace(report, impression=join_sentences(kept)), audits

@@ -136,16 +136,17 @@ def _load_catalog(config: Config) -> metrics.KeywordCatalog:
 
 
 def _write_run_config(primary_out: Optional[str], command: str,
-                      config: Config, inputs: dict,
-                      lexicon: Optional[Lexicon]) -> None:
+                      config: Config, inputs: dict, memos: dict) -> None:
     if primary_out:
         # Only whether a token is sent: the file is world-readable under the
         # usual umask, and every stage writes one.
         recorded = asdict(config) | {"auth_token": bool(config.auth_token)}
         run = {"command": command, "config": recorded, "inputs": inputs}
-        if lexicon is not None:
-            run["label_memo"] = lexicon.memo_counts()
-        corpus_io.write_json(primary_out + ".run.json", run)
+        corpus_io.write_json(primary_out + ".run.json", run | memos)
+
+
+def _label_memo(lexicon: Lexicon) -> dict:
+    return {"label_memo": lexicon.memo_counts()}
 
 
 def _run_all(work, items, workers: int) -> list:
@@ -181,8 +182,7 @@ def _labeled_corpus(args, config: Config) -> tuple:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each takes the parsed arguments and the resolved
 # Config, and returns what ``<out>.run.json`` records: the inputs, and the
-# lexicon whose memo counts it records (None for a stage that labels
-# nothing).
+# hits and misses of each memo the stage used, by run.json key.
 # ---------------------------------------------------------------------------
 
 
@@ -191,7 +191,7 @@ def cmd_label(args, config: Config) -> tuple:
     corpus = corpus_io.read_reports_jsonl(args.infile)
     labels = label_corpus(corpus, lexicon)
     corpus_io.write_labels_csv(labels, args.out)
-    return {"in": args.infile}, lexicon
+    return {"in": args.infile}, _label_memo(lexicon)
 
 
 def _summary_csv(summary: stats.CorpusSummary) -> str:
@@ -234,7 +234,7 @@ def cmd_stats(args, config: Config) -> tuple:
     if args.json:
         corpus_io.write_json(args.json, summary.to_dict())
     _print_summary(summary)
-    return {"in": args.infile, "labels": args.labels}, lexicon
+    return {"in": args.infile, "labels": args.labels}, _label_memo(lexicon)
 
 
 def cmd_chi2(args, config: Config) -> tuple:
@@ -262,7 +262,7 @@ def cmd_chi2(args, config: Config) -> tuple:
         rows.append([condition.value, _fmt(p_in), _fmt(p_out),
                      stat_text, p_text, significant])
     corpus_io.write_text_atomic(args.out, corpus_io.csv_text(rows))
-    return {"in": args.infile, "labels": args.labels}, lexicon
+    return {"in": args.infile, "labels": args.labels}, _label_memo(lexicon)
 
 
 def cmd_shift(args, config: Config) -> tuple:
@@ -283,20 +283,21 @@ def cmd_shift(args, config: Config) -> tuple:
     for delta in flagged:
         print(f"  {delta.field}: {_fmt(delta.a)} -> {_fmt(delta.b)} "
               f"(relative {_fmt(delta.relative)})")
-    return {"a": args.a, "b": args.b}, None
+    return {"a": args.a, "b": args.b}, {}
 
 
 def cmd_clean(args, config: Config) -> tuple:
     from . import backends, cleaning
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
+    memo = cleaning.FoldMemo(audit=bool(args.audit))
 
     def clean_all(backend, workers: int) -> list:
-        # Each report's sentence audits, kept only if they will be written.
+        # Each report's audit lines, made only if they will be written.
         def clean(report):
             cleaned, audits = cleaning.clean_report_audited(
-                report, backend, lexicon=lexicon)
-            return cleaned, audits if args.audit else ()
+                report, backend, lexicon, memo)
+            return cleaned, cleaning.audit_jsonl(report.study_id, audits)
 
         return _run_all(clean, corpus, workers)
 
@@ -310,11 +311,10 @@ def cmd_clean(args, config: Config) -> tuple:
             results = clean_all(backend, config.jobs)
     corpus_io.write_reports_jsonl([report for report, _ in results], args.out)
     if args.audit:
-        corpus_io.write_jsonl(
-            args.audit, ({"study_id": report.study_id, **audit.to_dict()}
-                         for report, (_, audits) in zip(corpus, results)
-                         for audit in audits), sort_keys=True)
-    return {"in": args.infile, "backend": args.backend}, lexicon
+        corpus_io.write_text_atomic(
+            args.audit, "".join(lines for _, lines in results))
+    return ({"in": args.infile, "backend": args.backend},
+            _label_memo(lexicon) | {"clean_memo": memo.counts()})
 
 
 def _read_sentences(path: str) -> list[str]:
@@ -332,7 +332,7 @@ def cmd_clean_eval(args, config: Config) -> tuple:
         corpus_io.write_json(args.out, scores)
     print(json.dumps(scores, ensure_ascii=False, sort_keys=True, indent=2))
     return {"machine": args.machine, "manual": args.manual,
-            "original": args.original}, lexicon
+            "original": args.original}, _label_memo(lexicon)
 
 
 def cmd_index(args, config: Config) -> tuple:
@@ -341,7 +341,7 @@ def cmd_index(args, config: Config) -> tuple:
     corpus = corpus_io.read_reports_jsonl(args.infile)
     index = generator.build_index(corpus, lexicon)
     index.save(args.out)
-    return {"in": args.infile}, lexicon
+    return {"in": args.infile}, _label_memo(lexicon)
 
 
 def _read_predictions(path: str) -> dict[str, frozenset]:
@@ -396,7 +396,8 @@ def cmd_generate(args, config: Config) -> tuple:
         corpus_io.write_jsonl(args.audit, (r.audit_dict() for r in results),
                               sort_keys=True)
     return {"requests": args.requests, "index": args.index,
-            "predictions": args.predictions, "mode": args.mode}, lexicon
+            "predictions": args.predictions,
+            "mode": args.mode}, _label_memo(lexicon)
 
 
 _METRICS_CSV_COLUMNS = ["pos_f1", "pos_f1_5", "bleu2", "clean_bleu2",
@@ -424,9 +425,10 @@ def cmd_evaluate(args, config: Config) -> tuple:
           + ", ".join(c.value for c in report.pos_f1_5_conditions))
     for column in _METRICS_CSV_COLUMNS:
         print(f"{column:20s} {_fmt(scores[column])}")
-    return {"generated": args.generated, "ref_original": args.ref_original,
-            "ref_clean": args.ref_clean,
-            "ref_original_labels": args.ref_original_labels}, lexicon
+    return ({"generated": args.generated, "ref_original": args.ref_original,
+             "ref_clean": args.ref_clean,
+             "ref_original_labels": args.ref_original_labels},
+            _label_memo(lexicon))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +560,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        inputs, lexicon = args.handler(args, config)
-        _write_run_config(args.out, args.command, config, inputs, lexicon)
+        inputs, memos = args.handler(args, config)
+        _write_run_config(args.out, args.command, config, inputs, memos)
         return 0
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .corpus_io import load_json
 from .errors import InputError
@@ -356,6 +356,15 @@ def label_corpus(reports, lexicon: Optional[Lexicon] = None,
 
 def indication_mention_sets(reports, lexicon: Optional[Lexicon] = None,
                             ) -> dict[str, frozenset[Condition]]:
-    """Indication mention sets for every report, keyed by study_id."""
-    return {r.study_id: indication_mentions(r.indication, lexicon)
-            for r in reports}
+    """Indication mention sets for every report, keyed by study_id; each
+    distinct indication is labeled once."""
+    mentions = once_per_text(
+        functools.partial(indication_mentions, lexicon=lexicon),
+        [r.indication for r in reports])
+    return {r.study_id: found for r, found in zip(reports, mentions)}
+
+
+def once_per_text(function, texts: Sequence[str]) -> list:
+    """``function`` of each text, called once per distinct text."""
+    results = {text: function(text) for text in dict.fromkeys(texts)}
+    return [results[text] for text in texts]

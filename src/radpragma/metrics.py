@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 from .corpus_io import load_json, lookup
 from .errors import InputError
-from .labeler import Lexicon, label_report
+from .labeler import Lexicon, label_report, once_per_text
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
                     LabelVector, Report, normalize_text, stem_pattern,
                     tokenize)
@@ -190,12 +190,6 @@ def bleu2(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     return _bleu2_scores(hypotheses, references)[0]
 
 
-def _once_per_text(function, texts: Sequence[str]) -> list:
-    """``function`` of each text, called once per distinct text."""
-    results = {text: function(text) for text in dict.fromkeys(texts)}
-    return [results[text] for text in texts]
-
-
 def exact_match_accuracy(hypotheses: Sequence[str],
                          references: Sequence[str]) -> float:
     """Fraction of pairs equal after whitespace normalization."""
@@ -278,7 +272,7 @@ def hallucination_rate(reports: Sequence[str],
     names = catalog.category_names
     flagged_any = 0
     flagged = {name: 0 for name in names}
-    for hits in _once_per_text(catalog.flags, reports):
+    for hits in once_per_text(catalog.flags, reports):
         if hits:
             flagged_any += 1
         for name in hits:
@@ -368,12 +362,12 @@ def evaluate_generation(generated: Sequence[Report],
     label = functools.partial(label_report, lexicon=lexicon)
     gen_texts = [gen_by_id[i].impression for i in ids]
     orig_texts = [orig_by_id[i].impression for i in ids]
-    gen_labels = dict(zip(ids, _once_per_text(label, gen_texts)))
+    gen_labels = dict(zip(ids, once_per_text(label, gen_texts)))
     if reference_labels is not None:
         ref_labels = {i: lookup(reference_labels, i, "reference labels")
                       for i in ids}
     else:
-        ref_labels = dict(zip(ids, _once_per_text(label, orig_texts)))
+        ref_labels = dict(zip(ids, once_per_text(label, orig_texts)))
 
     pos_score, pos_per = positive_f1(gen_labels, ref_labels, average=average)
     neg_score, neg_per = negative_f1(gen_labels, ref_labels, average=average)

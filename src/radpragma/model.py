@@ -31,6 +31,10 @@ class Condition(Enum):
     SUPPORT_DEVICES = "Support Devices"
     NO_FINDING = "No Finding"
 
+    # Members are singletons compared by identity, so hashing by identity
+    # is consistent; object's hash runs in C, Enum's in Python.
+    __hash__ = object.__hash__
+
     @property
     def is_no_finding(self) -> bool:
         return self is Condition.NO_FINDING
@@ -60,6 +64,8 @@ class LabelValue(Enum):
     NEGATIVE = "negative"
     UNCERTAIN = "uncertain"
     NOT_MENTIONED = "not-mentioned"
+
+    __hash__ = object.__hash__  # as Condition's
 
     def to_csv(self) -> str:
         return _CSV_BY_VALUE[self]

@@ -1,16 +1,28 @@
+import json
+import os
+import sys
+import tempfile
+import threading
+from unittest import mock
+
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import AdversarialBackend, guard_fixture_sentences
 
+from radpragma import cleaning
 from radpragma.backends import PatternBackend, RemoteRewriteBackend
 from radpragma.cleaning import (DEFAULT_RULES, REMOVED, CleaningRule,
-                                apply_rule, build_rewrite_prompt,
+                                FoldMemo, apply_rule, build_rewrite_prompt,
                                 clean_report, clean_report_audited,
                                 clean_sentence, evaluate_cleaning)
+from radpragma.cli import main
+from radpragma.corpus_io import read_reports_jsonl, write_reports_jsonl
 from radpragma.errors import BackendError, InputError
 from radpragma.labeler import default_lexicon, label_report, label_sentence
-from radpragma.model import LabelVector, Report
+from radpragma.model import LabelVector, Report, segment_sentences
 
 RULES = {rule.rule_id: rule for rule in DEFAULT_RULES}
 
@@ -241,6 +253,138 @@ class TestCleanReport:
         assert info.value.study_id == "s9"
         assert info.value.rule_id == 3
 
+
+#: Sentences the rules rewrite, remove or keep, and text that JSON must
+#: escape or keep as it is: quotes, backslashes, non-ASCII, de-id runs.
+_SENTENCES = guard_fixture_sentences(count=40, seed=15) + [
+    "Findings discussed with Dr. ___ by phone.", "Recommend CT.",
+    "Compared to ___, new small right pleural effusion.",
+    'Pleural effusion has resolved, per "prior" \\ note.',
+    "Stable cardiomégaly — unchanged.", "No pneumothorax 中.",
+]
+_AWKWARD = st.text(alphabet='aZ .,"\\\'é中😀_\t', min_size=1, max_size=12)
+
+
+def _fold_all(corpus, backend, lexicon, workers, memo):
+    """Each report's audits, folded through one memo by ``workers``
+    threads, in report order."""
+    results = [None] * len(corpus)
+
+    def work(worker):
+        for i in range(worker, len(corpus), workers):
+            results[i] = clean_report_audited(corpus[i], backend, lexicon,
+                                              memo)
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestFoldMemo:
+    """A clean run folds each distinct sentence once, through a FoldMemo."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cap=st.sampled_from([3, cleaning._FOLD_MEMO_CAP]),
+           audit=st.booleans())
+    def test_cli_clean_writes_the_per_report_fold(self, data, cap, audit):
+        bank = data.draw(st.lists(
+            st.one_of(st.sampled_from(_SENTENCES), _AWKWARD,
+                      st.tuples(st.sampled_from(_SENTENCES), _AWKWARD)
+                      .map(" ".join)), min_size=1, max_size=6))
+        pick = st.lists(st.sampled_from(bank), max_size=5).map(" ".join)
+        reports = [Report(study_id=f"{i}{data.draw(_AWKWARD)}",
+                          impression=data.draw(pick),
+                          indication=data.draw(pick))
+                   for i in range(data.draw(st.integers(1, 8)))]
+        lexicon, pattern = default_lexicon(), PatternBackend()
+        folded = [clean_report_audited(r, pattern, lexicon)
+                  for r in reports]
+        expected_audit = "".join(
+            json.dumps({"study_id": r.study_id, "index": sentence.index,
+                        **a.to_dict()}, ensure_ascii=False, sort_keys=True)
+            + "\n" for r, (_, audits) in zip(reports, folded)
+            for sentence, a in zip(segment_sentences(r.impression), audits))
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out, audit_path, expected_out = (
+                os.path.join(tmp, name) for name in (
+                    "corpus.jsonl", "cleaned.jsonl", "audit.jsonl",
+                    "expected.jsonl"))
+            write_reports_jsonl(reports, corpus)
+            write_reports_jsonl([cleaned for cleaned, _ in folded],
+                                expected_out)
+            argv = ["clean", "--in", corpus, "--out", out]
+            if audit:
+                argv += ["--audit", audit_path]
+            with mock.patch.object(cleaning, "_FOLD_MEMO_CAP", cap):
+                assert main(argv) == 0
+            with open(out, "rb") as got, open(expected_out, "rb") as want:
+                assert got.read() == want.read()
+            if audit:
+                with open(audit_path, "rb") as got:
+                    assert got.read() == expected_audit.encode("utf-8")
+            else:
+                assert not os.path.exists(audit_path)
+
+    def test_failing_fold_is_not_memoized(self, lexicon):
+        class FlakyBackend:
+            fail = True
+
+            def rewrite(self, rule, sentence):
+                if self.fail:
+                    raise BackendError("transport down")
+                return sentence
+
+        backend, memo = FlakyBackend(), FoldMemo(audit=True)
+        report = Report(study_id="s9", impression="No edema. Recommend CT.")
+        with pytest.raises(BackendError) as info:
+            clean_report_audited(report, backend, lexicon, memo)
+        assert (info.value.study_id, info.value.sentence_index,
+                info.value.rule_id) == ("s9", 1, 3)
+        assert list(memo.folds) == ["No edema."]
+        backend.fail = False
+        _, audits = clean_report_audited(report, backend, lexicon, memo)
+        assert [a.final for a in audits] == ["No edema.", "Recommend CT."]
+        assert memo.counts() == {"hits": 1, "misses": 3}
+
+    def test_bounded_and_keeps_only_final_text_without_audit(
+            self, monkeypatch, lexicon, pattern):
+        monkeypatch.setattr(cleaning, "_FOLD_MEMO_CAP", 3)
+        report = Report(study_id="s", impression=" ".join(_SENTENCES[:8]))
+        expected = clean_report(report, pattern, lexicon)
+        memo = FoldMemo(audit=False)
+        for _ in range(2):
+            assert clean_report_audited(report, pattern, lexicon, memo) == \
+                (expected, [])
+            assert 0 < len(memo.folds) <= 3
+            assert all(type(final) is str for final in memo.folds.values())
+
+    def test_threads_sharing_a_memo_get_single_thread_folds(
+            self, monkeypatch, lexicon, pattern):
+        corpus = [Report(study_id=str(i), impression=" ".join(
+            _SENTENCES[(i * 7 + k) % len(_SENTENCES)] for k in range(4)))
+            for i in range(30)] * 3
+        expected = [clean_report_audited(r, pattern, lexicon)
+                    for r in corpus]
+        # A cap below the distinct sentence count, so that threads clear
+        # the memo while others read and fill it.
+        monkeypatch.setattr(cleaning, "_FOLD_MEMO_CAP", 7)
+        memo = FoldMemo(audit=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _fold_all(corpus, pattern, lexicon, 4, memo)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert len(memo.folds) <= 7
+        counts = memo.counts()
+        assert counts["hits"] + counts["misses"] == sum(
+            len(segment_sentences(r.impression)) for r in corpus)
 
 class TestPatternBackendProperties:
     def test_idempotent_on_fixture(self, lexicon, pattern):

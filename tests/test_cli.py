@@ -10,7 +10,7 @@ from pipeline import pipeline_steps, run_pipeline
 from synth import shipped_lexicon_json
 
 from radpragma import corpus_io
-from radpragma.cleaning import SentenceAudit
+from radpragma.cleaning import RuleOutcome, SentenceAudit
 from radpragma.cli import main
 from radpragma.corpus_io import read_labels_csv, read_reports_jsonl
 from radpragma.model import segment_sentences
@@ -474,6 +474,7 @@ class TestRunRecord:
             assert run["command"] == argv[0]
             assert sorted(run["inputs"]) == self.RUN_INPUTS[argv[0]]
             assert ("label_memo" in run) == (argv[0] != "shift")
+            assert ("clean_memo" in run) == (argv[0] == "clean")
             assert run["config"]["auth_token"] is True
 
     @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
@@ -531,7 +532,8 @@ class TestPipeline:
                                                          monkeypatch):
         def audits_alive():
             gc.collect()
-            return sum(isinstance(o, SentenceAudit) for o in gc.get_objects())
+            return sum(isinstance(o, (SentenceAudit, RuleOutcome))
+                       for o in gc.get_objects())
 
         before = audits_alive()
         alive = []
@@ -545,6 +547,18 @@ class TestPipeline:
         assert main(["clean", "--in", CORPUS, "--backend", "pattern",
                      "--out", str(tmp_path / "cleaned.jsonl")]) == 0
         assert alive == [before]
+        assert audits_alive() == before
+
+    def test_run_record_counts_fold_memo_hits_and_misses(self, tmp_path):
+        out = tmp_path / "cleaned.jsonl"
+        assert main(["clean", "--in", CORPUS, "--out", str(out)]) == 0
+        sentences = [s.text for r in read_reports_jsonl(CORPUS)
+                     for s in segment_sentences(r.impression)]
+        sidecar = json.loads((tmp_path / "cleaned.jsonl.run.json")
+                             .read_text())
+        counts = sidecar["clean_memo"]
+        assert counts["hits"] + counts["misses"] == len(sentences)
+        assert counts["misses"] == len(set(sentences)) < len(sentences)
 
     def test_evaluate_matches_bundled_oracle(self, tmp_path):
         out = tmp_path / "metrics.json"

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,8 @@ from radpragma.cli import main
 from radpragma.corpus_io import read_reports_jsonl
 from radpragma.errors import InputError
 from radpragma.labeler import (Lexicon, aggregate_labels, default_lexicon,
-                               indication_mentions, label_report,
-                               label_sentence)
+                               indication_mention_sets, indication_mentions,
+                               label_report, label_sentence)
 from radpragma.model import (CONDITIONS, Condition, LabelValue, LabelVector,
                              segment_sentences)
 
@@ -331,6 +332,23 @@ class TestSentenceMemo:
         counts = lexicon.memo_counts()
         assert counts["hits"] + counts["misses"] == 4 * 20 * len(sentences)
 
+
+    def test_each_distinct_indication_is_segmented_once(self, monkeypatch):
+        reports = read_reports_jsonl(CORPUS)
+        reports += [replace(r, study_id=r.study_id + "-again")
+                    for r in reports]
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
+        expected = {r.study_id: indication_mentions(r.indication, lexicon)
+                    for r in reports}
+        segmented = []
+
+        def counting(text):
+            segmented.append(text)
+            return segment_sentences(text)
+
+        monkeypatch.setattr(labeler, "segment_sentences", counting)
+        assert indication_mention_sets(reports, lexicon) == expected
+        assert sorted(segmented) == sorted({r.indication for r in reports})
 
 def _variant(window, negation=None, uncertainty=None, phrases=None):
     obj = shipped_lexicon_json()
