@@ -3,7 +3,8 @@
 PatternBackend is the default, fully offline backend: each rule is a short
 list of ordered phrase-rewrite productions plus sentence-removal patterns.
 RemoteRewriteBackend sends the rule prompt and sentence to an HTTP endpoint
-(one POST per distinct (rule, sentence); responses are memoized so a run is
+(one POST per distinct (rule, sentence), threads included: responses are
+kept in an unbounded single-flight ``model.BoundedMemo``, so a run is
 deterministic even against a flaky endpoint).
 
 RemoteEndpoint is the package's one HTTP client. It imports ``requests``
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Union
 
 from .cleaning import REMOVED, CleaningRule, build_rewrite_prompt
 from .errors import BackendError
-from .model import normalize_text
+from .model import BoundedMemo, normalize_text
 
 _I = re.IGNORECASE
 
@@ -261,13 +262,14 @@ class RemoteRewriteBackend(RemoteEndpoint):
     def __init__(self, endpoint: str, auth_token: Optional[str] = None,
                  timeout: float = 30.0, retries: int = 0):
         super().__init__(endpoint, "cleaning", auth_token, timeout, retries)
-        self._cache: dict[tuple[int, str], str] = {}
+        self._rewrites = BoundedMemo(None)
 
     def rewrite(self, rule: CleaningRule, sentence: str) -> str:
-        key = (rule.rule_id, sentence)
-        if key not in self._cache:
-            payload = {"rule_id": rule.rule_id,
-                       "prompt": build_rewrite_prompt(rule, sentence),
-                       "sentence": sentence}
-            self._cache[key] = self.post(payload, "rewritten", noun="rewrite")
-        return self._cache[key]
+        return self._rewrites.get((rule.rule_id, sentence), self._post_rewrite,
+                                  rule, sentence)
+
+    def _post_rewrite(self, rule: CleaningRule, sentence: str) -> str:
+        payload = {"rule_id": rule.rule_id,
+                   "prompt": build_rewrite_prompt(rule, sentence),
+                   "sentence": sentence}
+        return self.post(payload, "rewritten", noun="rewrite")

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
 from .labeler import Lexicon, label_sentence
-from .model import (LabelVector, Report, join_sentences, normalize_text,
-                    segment_sentences, stem_pattern)
+from .model import (BoundedMemo, LabelVector, Report, join_sentences,
+                    normalize_text, segment_sentences, stem_pattern)
 
 #: Sentinel marking a sentence deleted by a cleaning rule.
 REMOVED = "REMOVED"
@@ -174,8 +173,8 @@ class RuleOutcome:
 @dataclass(frozen=True)
 class SentenceAudit:
     """Audit record of one sentence's fold. It depends only on the sentence
-    text (for one backend and lexicon), so a ``FoldMemo`` shares one among
-    the sentences with that text; a sentence's index is its position in its
+    text (for one backend and lexicon), so a fold memo shares one among the
+    sentences with that text; a sentence's index is its position in its
     report's audit list."""
 
     original: str
@@ -253,57 +252,22 @@ def clean_sentence(sentence: str, backend: RewriteBackend,
     return clean_sentence_audited(sentence, backend, lexicon).final
 
 
-#: Distinct sentences a FoldMemo holds before it is cleared: about 1.3 MB
-#: of typical report sentences without an audit.
-_FOLD_MEMO_CAP = 8_192
+#: Distinct sentences a clean run's fold memo holds before it is cleared:
+#: about 1.3 MB of typical report sentences without an audit.
+FOLD_MEMO_CAP = 8_192
 
 
-class FoldMemo:
-    """The folds of the sentences one cleaning run has cleaned, with one
-    backend and one lexicon, keyed by the sentence text exactly as
-    ``segment_sentences`` gives it; threads may share it. With ``audit`` an
-    entry is the sentence's ``SentenceAudit``, else only its final text. It
-    holds at most ``_FOLD_MEMO_CAP`` sentences and is cleared when full. A
-    fold that raises is not stored."""
-
-    __slots__ = ("audit", "folds", "hits", "misses", "lock")
-
-    def __init__(self, audit: bool):
-        self.audit = audit
-        self.folds: dict[str, SentenceAudit | str] = {}
-        self.hits = self.misses = 0
-        self.lock = threading.Lock()
-
-    def fold(self, text: str, backend: RewriteBackend,
-             lexicon: Optional[Lexicon],
-             ) -> tuple[str, Optional[SentenceAudit]]:
-        """The final text of sentence ``text`` and, with ``audit``, its
-        audit, from the memo if this run has folded the same text."""
-        with self.lock:
-            entry = self.folds.get(text)
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        if entry is None:
-            entry = clean_sentence_audited(text, backend, lexicon)
-            if not self.audit:
-                entry = entry.final
-            with self.lock:
-                if len(self.folds) >= _FOLD_MEMO_CAP:
-                    self.folds.clear()
-                self.folds[text] = entry
-        return (entry.final, entry) if self.audit else (entry, None)
-
-    def counts(self) -> dict[str, int]:
-        """Sentences the memo answered (hits) and that were folded
-        (misses)."""
-        return {"hits": self.hits, "misses": self.misses}
+def _fold(text: str, backend: RewriteBackend, lexicon: Optional[Lexicon],
+          audit: bool) -> SentenceAudit | str:
+    """Sentence ``text``'s audit, or without ``audit`` its final text."""
+    folded = clean_sentence_audited(text, backend, lexicon)
+    return folded if audit else folded.final
 
 
 def clean_report_audited(report: Report, backend: RewriteBackend,
                          lexicon: Optional[Lexicon] = None,
-                         memo: Optional[FoldMemo] = None,
+                         memo: Optional[BoundedMemo] = None,
+                         audit: bool = True,
                          ) -> tuple[Report, list[SentenceAudit]]:
     """Clean every sentence of a report's impression.
 
@@ -313,33 +277,32 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
     The rejoined impression need not, because a rewrite can drop a
     sentence's end mark, and a cue then scopes into the next sentence.
 
-    With a ``memo`` each distinct sentence is folded once per memo; a memo
-    made without ``audit`` returns no audits.
+    Without ``audit`` no audits are returned. With a ``memo`` each distinct
+    sentence is folded once per memo, which serves one backend, lexicon and
+    ``audit`` setting, and without ``audit`` stores only final texts.
     """
     audits: list[SentenceAudit] = []
     kept: list[str] = []
     for sentence in segment_sentences(report.impression):
+        text = sentence.text
         try:
-            if memo is None:
-                audit = clean_sentence_audited(sentence.text, backend,
-                                               lexicon)
-                final = audit.final
-            else:
-                final, audit = memo.fold(sentence.text, backend, lexicon)
+            fold = (_fold(text, backend, lexicon, audit) if memo is None
+                    else memo.get(text, _fold, text, backend, lexicon, audit))
         except BackendError as exc:
             exc.sentence_index = sentence.index
             exc.study_id = report.study_id
             raise
-        if audit is not None:
-            audits.append(audit)
-        if final != REMOVED:
-            kept.append(final)
+        if audit:
+            audits.append(fold)
+            fold = fold.final
+        if fold != REMOVED:
+            kept.append(fold)
     return replace(report, impression=join_sentences(kept)), audits
 
 
 def clean_report(report: Report, backend: RewriteBackend,
                  lexicon: Optional[Lexicon] = None) -> Report:
-    cleaned, _ = clean_report_audited(report, backend, lexicon)
+    cleaned, _ = clean_report_audited(report, backend, lexicon, audit=False)
     return cleaned
 
 

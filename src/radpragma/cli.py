@@ -26,7 +26,7 @@ from . import corpus_io, metrics
 from .errors import BackendError, DegenerateTableError, InputError
 from .labeler import (Lexicon, default_lexicon, indication_mention_sets,
                       label_corpus)
-from .model import SCORABLE_CONDITIONS, Report
+from .model import SCORABLE_CONDITIONS, BoundedMemo, Report
 
 if TYPE_CHECKING:
     from . import generator, stats
@@ -290,13 +290,13 @@ def cmd_clean(args, config: Config) -> tuple:
     from . import backends, cleaning
     lexicon = _load_lexicon(config)
     corpus = corpus_io.read_reports_jsonl(args.infile)
-    memo = cleaning.FoldMemo(audit=bool(args.audit))
+    memo = BoundedMemo(cleaning.FOLD_MEMO_CAP)
 
     def clean_all(backend, workers: int) -> list:
         # Each report's audit lines, made only if they will be written.
         def clean(report):
             cleaned, audits = cleaning.clean_report_audited(
-                report, backend, lexicon, memo)
+                report, backend, lexicon, memo, audit=bool(args.audit))
             return cleaned, cleaning.audit_jsonl(report.study_id, audits)
 
         return _run_all(clean, corpus, workers)

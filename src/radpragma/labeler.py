@@ -10,11 +10,11 @@ fewer than ``scope_window`` word tokens in between. Uncertainty outranks
 negation when both are in scope. No Finding ignores cues entirely: it is
 positive exactly when one of its explicit phrases matches.
 
-Memo: each ``Lexicon`` instance keeps the labels of the sentences it has
-labeled, keyed by the text exactly as given, and every caller that labels
-with that instance shares them. The memo holds at most ``_MEMO_CAP``
-sentences and is cleared when full. Equal label vectors are one shared
-``LabelVector``, which is safe because it is immutable.
+Memos: each ``Lexicon`` instance keeps the labels of the sentences, and the
+mention sets of the indications, it has labeled, keyed by the text exactly
+as given, and every caller that labels with it shares them. Equal label
+vectors are one shared ``LabelVector`` (safe, as it is immutable). Each of
+these ``model.BoundedMemo``s holds at most ``_MEMO_CAP`` entries.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ from __future__ import annotations
 import functools
 import json
 import re
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .corpus_io import load_json
 from .errors import InputError
-from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
-                    LabelVector, normalize_text, segment_sentences)
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, BoundedMemo, Condition,
+                    LabelValue, LabelVector, normalize_text,
+                    segment_sentences)
 
 _WORD = re.compile(r"[a-z0-9]+")
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
@@ -140,22 +140,14 @@ def _cue_scans(cues: Iterable[str]) -> tuple[re.Pattern, ...]:
     return tuple(scans)
 
 
-#: Sentences a Lexicon's memo holds before it is cleared: about 4.5 MB
-#: of typical report sentences.
+#: Entries each of a Lexicon's memos holds before it is cleared: for the
+#: sentence labels, about 4.5 MB of typical report sentences.
 _MEMO_CAP = 32_768
 
 
-class _SentenceMemo:
-    """The label vectors of the sentences one Lexicon has labeled, and each
-    distinct vector once, keyed by its value codes. Threads may share it."""
-
-    __slots__ = ("labels", "vectors", "hits", "misses", "lock")
-
-    def __init__(self):
-        self.labels: dict[str, LabelVector] = {}
-        self.vectors: dict[bytes, LabelVector] = {}
-        self.hits = self.misses = 0
-        self.lock = threading.Lock()
+def _memo():
+    return field(default_factory=lambda: BoundedMemo(_MEMO_CAP), init=False,
+                 compare=False, repr=False)
 
 
 def _check_entry(entry, what: str) -> None:
@@ -184,7 +176,9 @@ class Lexicon:
     uncertainty_cues: tuple[str, ...]
     phrases: tuple[tuple[Condition, tuple[str, ...]], ...]
     _compiled: dict = field(default=None, compare=False, repr=False)
-    _memo: _SentenceMemo = field(default=None, compare=False, repr=False)
+    _labels: BoundedMemo = _memo()  # sentence text -> LabelVector
+    _vectors: BoundedMemo = _memo()  # value codes -> the shared LabelVector
+    _mentions: BoundedMemo = _memo()  # indication -> mention set
 
     def __post_init__(self):
         window = self.scope_window
@@ -211,7 +205,6 @@ class Lexicon:
             "uncertainty": _cue_scans(self.uncertainty_cues),
         }
         object.__setattr__(self, "_compiled", compiled)
-        object.__setattr__(self, "_memo", _SentenceMemo())
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Lexicon":
@@ -236,9 +229,8 @@ class Lexicon:
         return load_json(path, "lexicon", cls.from_dict)
 
     def memo_counts(self) -> dict[str, int]:
-        """Calls of ``label_sentence`` with this lexicon that the memo
-        answered (hits) and that labeled the text (misses)."""
-        return {"hits": self._memo.hits, "misses": self._memo.misses}
+        """Hits and misses of ``label_sentence`` calls with this lexicon."""
+        return self._labels.counts()
 
 
 @functools.cache
@@ -258,25 +250,13 @@ def label_sentence(sentence: str,
     """Label one sentence for all fourteen conditions, from the lexicon's
     memo if it has labeled the same text before."""
     lexicon = lexicon or default_lexicon()
-    memo = lexicon._memo
-    with memo.lock:
-        vector = memo.labels.get(sentence)
-        if vector is not None:
-            memo.hits += 1
-            return vector
-        memo.misses += 1
+    return lexicon._labels.get(sentence, _label, sentence, lexicon)
+
+
+def _label(sentence: str, lexicon: Lexicon) -> LabelVector:
     codes = _label_codes(normalize_text(sentence).lower(), lexicon)
-    with memo.lock:
-        if len(memo.labels) >= _MEMO_CAP:
-            # The intern table goes too, so it never outgrows the memo.
-            memo.labels.clear()
-            memo.vectors.clear()
-        vector = memo.vectors.get(codes)
-        if vector is None:
-            vector = memo.vectors[codes] = LabelVector(
-                tuple(_VALUES[code] for code in codes))
-        memo.labels[sentence] = vector
-    return vector
+    return lexicon._vectors.get(codes, LabelVector,
+                                tuple(_VALUES[code] for code in codes))
 
 
 def _label_codes(low: str, lexicon: Lexicon) -> bytes:
@@ -343,7 +323,14 @@ def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:
 
 def indication_mentions(indication: str,
                         lexicon: Optional[Lexicon] = None) -> frozenset[Condition]:
-    """Conditions mentioned (any polarity) in an indication; No Finding excluded."""
+    """Conditions mentioned (any polarity) in an indication; No Finding
+    excluded. Each lexicon labels each distinct indication once."""
+    lexicon = lexicon or default_lexicon()
+    return lexicon._mentions.get(indication, _mention_set, indication,
+                                 lexicon)
+
+
+def _mention_set(indication: str, lexicon: Lexicon) -> frozenset[Condition]:
     return label_report(indication, lexicon).mentions().intersection(
         SCORABLE_CONDITIONS)
 
@@ -356,15 +343,6 @@ def label_corpus(reports, lexicon: Optional[Lexicon] = None,
 
 def indication_mention_sets(reports, lexicon: Optional[Lexicon] = None,
                             ) -> dict[str, frozenset[Condition]]:
-    """Indication mention sets for every report, keyed by study_id; each
-    distinct indication is labeled once."""
-    mentions = once_per_text(
-        functools.partial(indication_mentions, lexicon=lexicon),
-        [r.indication for r in reports])
-    return {r.study_id: found for r, found in zip(reports, mentions)}
-
-
-def once_per_text(function, texts: Sequence[str]) -> list:
-    """``function`` of each text, called once per distinct text."""
-    results = {text: function(text) for text in dict.fromkeys(texts)}
-    return [results[text] for text in texts]
+    """Indication mention sets for every report, keyed by study_id."""
+    return {r.study_id: indication_mentions(r.indication, lexicon)
+            for r in reports}

@@ -1,16 +1,17 @@
-"""Core domain types plus text normalization and sentence segmentation.
+"""Core domain types, text normalization, segmentation, and one memo class.
 
 Everything downstream (labeling, cleaning, metrics, retrieval) works on the
-types defined here. All types are immutable after construction.
+types defined here. All but ``BoundedMemo`` are immutable after creation.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 class Condition(Enum):
@@ -237,3 +238,52 @@ def stem_pattern(stems: tuple[str, ...]) -> re.Pattern:
     if not alternatives:
         return re.compile(r"(?!)")
     return re.compile(f"(?<![a-z0-9])(?:{'|'.join(alternatives)})")
+
+
+_ABSENT = object()
+
+
+class BoundedMemo:
+    """Values computed once per key and shared by every caller, threads
+    included: at most ``cap`` of them (``None``: no bound), cleared when
+    full. A computation that raises stores nothing. Single-flight: a caller
+    asking for a key that another thread is computing waits for that result
+    and, if that computation raised, computes the value itself, so its own
+    error names its own work. ``compute`` must not get its own key.
+    """
+
+    def __init__(self, cap: Optional[int]):
+        self.cap = cap
+        self.stored: dict = {}
+        self.hits = self.misses = 0
+        self._lock = threading.Lock()
+        self._done = threading.Condition(self._lock)  # a computation ended
+        self._running: set = set()  # the keys being computed
+
+    def get(self, key, compute: Callable, *args):
+        """The value stored for ``key``, else ``compute(*args)``, stored."""
+        with self._lock:
+            value = self.stored.get(key, _ABSENT)
+            while value is _ABSENT and key in self._running:
+                self._done.wait()
+                value = self.stored.get(key, _ABSENT)
+            if value is not _ABSENT:
+                self.hits += 1
+                return value
+            self.misses += 1
+            self._running.add(key)
+        try:
+            value = compute(*args)
+        finally:
+            with self._lock:
+                if value is not _ABSENT:
+                    if self.cap is not None and len(self.stored) >= self.cap:
+                        self.stored.clear()
+                    self.stored[key] = value
+                self._running.remove(key)
+                self._done.notify_all()
+        return value
+
+    def counts(self) -> dict[str, int]:
+        """Calls answered from the memo (hits) and that computed (misses)."""
+        return {"hits": self.hits, "misses": self.misses}

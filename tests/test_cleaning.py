@@ -3,6 +3,7 @@ import os
 import sys
 import tempfile
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -15,14 +16,15 @@ from synth import AdversarialBackend, guard_fixture_sentences
 from radpragma import cleaning
 from radpragma.backends import PatternBackend, RemoteRewriteBackend
 from radpragma.cleaning import (DEFAULT_RULES, REMOVED, CleaningRule,
-                                FoldMemo, apply_rule, build_rewrite_prompt,
+                                apply_rule, build_rewrite_prompt,
                                 clean_report, clean_report_audited,
                                 clean_sentence, evaluate_cleaning)
 from radpragma.cli import main
 from radpragma.corpus_io import read_reports_jsonl, write_reports_jsonl
 from radpragma.errors import BackendError, InputError
 from radpragma.labeler import default_lexicon, label_report, label_sentence
-from radpragma.model import LabelVector, Report, segment_sentences
+from radpragma.model import (BoundedMemo, LabelVector, Report,
+                             segment_sentences)
 
 RULES = {rule.rule_id: rule for rule in DEFAULT_RULES}
 
@@ -286,10 +288,11 @@ def _fold_all(corpus, backend, lexicon, workers, memo):
 
 
 class TestFoldMemo:
-    """A clean run folds each distinct sentence once, through a FoldMemo."""
+    """A clean run folds each distinct sentence once, through a fold memo
+    (a ``BoundedMemo``)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), cap=st.sampled_from([3, cleaning._FOLD_MEMO_CAP]),
+    @given(data=st.data(), cap=st.sampled_from([3, cleaning.FOLD_MEMO_CAP]),
            audit=st.booleans())
     def test_cli_clean_writes_the_per_report_fold(self, data, cap, audit):
         bank = data.draw(st.lists(
@@ -320,7 +323,7 @@ class TestFoldMemo:
             argv = ["clean", "--in", corpus, "--out", out]
             if audit:
                 argv += ["--audit", audit_path]
-            with mock.patch.object(cleaning, "_FOLD_MEMO_CAP", cap):
+            with mock.patch.object(cleaning, "FOLD_MEMO_CAP", cap):
                 assert main(argv) == 0
             with open(out, "rb") as got, open(expected_out, "rb") as want:
                 assert got.read() == want.read()
@@ -339,13 +342,13 @@ class TestFoldMemo:
                     raise BackendError("transport down")
                 return sentence
 
-        backend, memo = FlakyBackend(), FoldMemo(audit=True)
+        backend, memo = FlakyBackend(), BoundedMemo(cleaning.FOLD_MEMO_CAP)
         report = Report(study_id="s9", impression="No edema. Recommend CT.")
         with pytest.raises(BackendError) as info:
             clean_report_audited(report, backend, lexicon, memo)
         assert (info.value.study_id, info.value.sentence_index,
                 info.value.rule_id) == ("s9", 1, 3)
-        assert list(memo.folds) == ["No edema."]
+        assert list(memo.stored) == ["No edema."]
         backend.fail = False
         _, audits = clean_report_audited(report, backend, lexicon, memo)
         assert [a.final for a in audits] == ["No edema.", "Recommend CT."]
@@ -353,15 +356,15 @@ class TestFoldMemo:
 
     def test_bounded_and_keeps_only_final_text_without_audit(
             self, monkeypatch, lexicon, pattern):
-        monkeypatch.setattr(cleaning, "_FOLD_MEMO_CAP", 3)
+        monkeypatch.setattr(cleaning, "FOLD_MEMO_CAP", 3)
         report = Report(study_id="s", impression=" ".join(_SENTENCES[:8]))
         expected = clean_report(report, pattern, lexicon)
-        memo = FoldMemo(audit=False)
+        memo = BoundedMemo(cleaning.FOLD_MEMO_CAP)
         for _ in range(2):
-            assert clean_report_audited(report, pattern, lexicon, memo) == \
-                (expected, [])
-            assert 0 < len(memo.folds) <= 3
-            assert all(type(final) is str for final in memo.folds.values())
+            assert clean_report_audited(report, pattern, lexicon, memo,
+                                        audit=False) == (expected, [])
+            assert 0 < len(memo.stored) <= 3
+            assert all(type(final) is str for final in memo.stored.values())
 
     def test_threads_sharing_a_memo_get_single_thread_folds(
             self, monkeypatch, lexicon, pattern):
@@ -372,8 +375,8 @@ class TestFoldMemo:
                     for r in corpus]
         # A cap below the distinct sentence count, so that threads clear
         # the memo while others read and fill it.
-        monkeypatch.setattr(cleaning, "_FOLD_MEMO_CAP", 7)
-        memo = FoldMemo(audit=True)
+        monkeypatch.setattr(cleaning, "FOLD_MEMO_CAP", 7)
+        memo = BoundedMemo(cleaning.FOLD_MEMO_CAP)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -381,7 +384,7 @@ class TestFoldMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        assert len(memo.folds) <= 7
+        assert len(memo.stored) <= 7
         counts = memo.counts()
         assert counts["hits"] + counts["misses"] == sum(
             len(segment_sentences(r.impression)) for r in corpus)
@@ -475,6 +478,33 @@ class TestRemoteBackend:
         for _ in range(3):
             backend.rewrite(RULES[2], "Findings were communicated.")
         assert len(hits) == 1
+
+    def test_threads_asking_for_one_rewrite_send_one_post(self,
+                                                          http_endpoint):
+        # Each POST answers "take N" for the Nth POST, slowly enough that
+        # the second thread asks while the first POST is in flight.
+        posts = []
+
+        def respond(body, handler):
+            posts.append(body)
+            taken = len(posts)
+            time.sleep(0.2)
+            return 200, {"rewritten": f"take {taken}"}
+
+        backend = RemoteRewriteBackend(http_endpoint(respond))
+        got = [None, None]
+
+        def ask(i):
+            got[i] = backend.rewrite(RULES[2], "Findings were communicated.")
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(posts) == 1
+        assert got == ["take 1", "take 1"]
 
     def test_http_error_raises_backend_error(self, http_endpoint):
         url = http_endpoint(lambda body, handler: (500, {"error": "x"}))

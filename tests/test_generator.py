@@ -1,8 +1,14 @@
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
+from synth import shipped_lexicon_json
+from radpragma import labeler
 from radpragma.backends import RemoteEndpoint
+from radpragma.cli import main
+from radpragma.corpus_io import read_reports_jsonl, write_reports_jsonl
 from radpragma.errors import BackendError, InputError
 from radpragma.generator import (GenerationRequest, RetrievalIndex,
                                  build_generation_prompt, build_index,
@@ -186,6 +192,41 @@ class TestGenerateRetrieval:
                                negative_pool={})
         with pytest.raises(InputError, match="empty"):
             generate_retrieval(request(), empty, lexicon)
+
+
+    def test_cli_generate_labels_each_distinct_indication_once(
+            self, tmp_path, monkeypatch):
+        corpus = os.path.join(os.path.dirname(__file__), "fixtures",
+                              "corpus.jsonl")
+        reports = read_reports_jsonl(corpus)
+        requests = reports + [replace(r, study_id=r.study_id + "-again")
+                              for r in reports]
+        paths = {name: str(tmp_path / name) for name in (
+            "requests.jsonl", "labels.csv", "index.json", "lexicon.json",
+            "generated.jsonl")}
+        write_reports_jsonl(requests, paths["requests.jsonl"])
+        with open(paths["lexicon.json"], "w", encoding="utf-8") as handle:
+            json.dump(shipped_lexicon_json(), handle)
+        assert main(["label", "--in", paths["requests.jsonl"],
+                     "--out", paths["labels.csv"]]) == 0
+        assert main(["index", "--in", corpus, "--out",
+                     paths["index.json"]]) == 0
+        segmented = []
+
+        def counting(text):
+            segmented.append(text)
+            return segment_sentences(text)
+
+        # A lexicon loaded from a file starts with empty memos.
+        monkeypatch.setattr(labeler, "segment_sentences", counting)
+        assert main(["generate", "--requests", paths["requests.jsonl"],
+                     "--predictions", paths["labels.csv"],
+                     "--index", paths["index.json"],
+                     "--lexicon", paths["lexicon.json"],
+                     "--out", paths["generated.jsonl"]]) == 0
+        indications = [r.indication for r in requests]
+        assert len(set(indications)) < len(indications)
+        assert sorted(segmented) == sorted(set(indications))
 
 
 class TestGenerationRequest:

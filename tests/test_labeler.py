@@ -273,7 +273,7 @@ class TestSentenceMemo:
         for _ in range(2):
             for sentence, vector in zip(sentences, expected):
                 assert label_sentence(sentence, lexicon) == vector
-                assert len(lexicon._memo.labels) <= 3
+                assert len(lexicon._labels.stored) <= 3
         counts = lexicon.memo_counts()
         assert counts["hits"] + counts["misses"] == 2 * len(sentences)
         assert counts["misses"] > len(set(sentences))
@@ -328,7 +328,7 @@ class TestSentenceMemo:
         for rounds in results.values():
             for got in rounds:
                 assert [got[i] for i in range(len(sentences))] == expected
-        assert len(lexicon._memo.labels) <= 7
+        assert len(lexicon._labels.stored) <= 7
         counts = lexicon.memo_counts()
         assert counts["hits"] + counts["misses"] == 4 * 20 * len(sentences)
 
@@ -337,9 +337,11 @@ class TestSentenceMemo:
         reports = read_reports_jsonl(CORPUS)
         reports += [replace(r, study_id=r.study_id + "-again")
                     for r in reports]
-        lexicon = Lexicon.from_dict(shipped_lexicon_json())
-        expected = {r.study_id: indication_mentions(r.indication, lexicon)
+        # A separate lexicon, whose memo would otherwise answer every call.
+        fresh = Lexicon.from_dict(shipped_lexicon_json())
+        expected = {r.study_id: indication_mentions(r.indication, fresh)
                     for r in reports}
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
         segmented = []
 
         def counting(text):

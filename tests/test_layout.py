@@ -1,7 +1,8 @@
 """Checks on how the package loads, on the names the benchmark's tracer
 wraps, that no module keeps an import or private name it never reads, that
 no public name is read only by tests, that only ``backends`` imports
-``requests``, and that a stage reads every configuration field."""
+``requests`` and only ``model`` imports ``threading``, and that a stage
+reads every configuration field."""
 
 import ast
 import dataclasses
@@ -230,6 +231,14 @@ def test_only_backends_imports_requests():
                  if module.endswith(".py") and "requests" in
                  _imported_modules(_parse(os.path.join(PACKAGE, module)))]
     assert importers == ["backends.py"]
+
+
+def test_only_model_imports_threading():
+    # model.BoundedMemo is the package's one memo, and holds its one lock.
+    importers = [module for module in sorted(os.listdir(PACKAGE))
+                 if module.endswith(".py") and "threading" in
+                 _imported_modules(_parse(os.path.join(PACKAGE, module)))]
+    assert importers == ["model.py"]
 
 
 def _names_read(directory):

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,9 @@ from radpragma.corpus_io import (read_labels_csv, read_reports_jsonl,
                                  write_labels_csv, write_reports_jsonl)
 from radpragma.errors import InputError
 from radpragma.metrics import default_catalog
-from radpragma.model import (CONDITIONS, Condition, LabelValue, LabelVector,
-                             Report, normalize_text, segment_sentences,
-                             stem_pattern, tokenize)
+from radpragma.model import (CONDITIONS, BoundedMemo, Condition, LabelValue,
+                             LabelVector, Report, normalize_text,
+                             segment_sentences, stem_pattern, tokenize)
 
 
 class TestNormalizeText:
@@ -138,6 +141,126 @@ class TestLabelValues:
         assert vector.positives() == frozenset({Condition.EDEMA})
         assert vector.mentions() == frozenset(
             {Condition.EDEMA, Condition.PNEUMONIA})
+
+
+def _in_thread(target, *args):
+    """A started thread running ``target(*args)``; ``outcome`` holds its
+    return value, or the exception it raised, once it ends."""
+    def run():
+        try:
+            thread.outcome = target(*args)
+        except Exception as exc:
+            thread.outcome = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestBoundedMemo:
+    def test_computes_once_per_key_and_clears_when_full(self):
+        memo, calls = BoundedMemo(2), []
+
+        def compute(key):
+            calls.append(key)
+            return key.upper()
+
+        got = [memo.get(key, compute, key) for key in "abac"]
+        assert got == ["A", "B", "A", "C"]
+        assert calls == ["a", "b", "c"]
+        assert memo.stored == {"c": "C"}  # "c" found the memo full
+        assert memo.counts() == {"hits": 1, "misses": 3}
+
+    def test_stores_nothing_when_compute_raises(self):
+        memo = BoundedMemo(None)
+
+        def fail():
+            raise KeyError("down")
+
+        with pytest.raises(KeyError):
+            memo.get("k", fail)
+        assert memo.stored == {}
+        assert memo.get("k", str, 7) == "7"
+        assert memo.counts() == {"hits": 0, "misses": 2}
+
+    def test_threads_compute_each_key_once(self):
+        memo, computed = BoundedMemo(None), []
+
+        def compute(key):
+            computed.append(key)
+            time.sleep(0.001)  # let other threads ask for the same key
+            return -key
+
+        def work(worker):
+            for round_ in range(20):
+                for key in range(50):
+                    key = (key + worker * 7 + round_) % 50
+                    assert memo.get(key, compute, key) == -key
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [_in_thread(work, worker) for worker in range(8)]
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [thread.outcome for thread in threads] == [None] * 8
+        assert sorted(computed) == list(range(50))
+        assert memo.counts() == {"hits": 8 * 20 * 50 - 50, "misses": 50}
+
+    def test_a_waiting_caller_gets_the_running_result(self):
+        memo, calls = BoundedMemo(None), []
+        release = threading.Event()
+
+        def slow(name):
+            calls.append(name)
+            release.wait(10)
+            return f"from {name}"
+
+        first = _in_thread(memo.get, "k", slow, "A")
+        time.sleep(0.1)
+        second = _in_thread(memo.get, "k", slow, "B")
+        time.sleep(0.1)
+        assert calls == ["A"]  # B waits rather than computes
+        release.set()
+        for thread in (first, second):
+            thread.join(10)
+        assert (first.outcome, second.outcome) == ("from A", "from A")
+        assert calls == ["A"]
+        assert memo.counts() == {"hits": 1, "misses": 1}
+
+    def test_a_waiting_caller_computes_itself_when_the_running_one_raises(
+            self):
+        memo, calls = BoundedMemo(None), []
+        release = threading.Event()
+
+        def failing():
+            calls.append("A")
+            release.wait(10)
+            raise RuntimeError("A failed")
+
+        def succeeding():
+            calls.append("B")
+            return "from B"
+
+        first = _in_thread(memo.get, "k", failing)
+        time.sleep(0.1)
+        second = _in_thread(memo.get, "k", succeeding)
+        time.sleep(0.1)
+        assert calls == ["A"]  # B waits for A
+        assert memo.stored == {}
+        release.set()
+        for thread in (first, second):
+            thread.join(10)
+        assert str(first.outcome) == "A failed"
+        assert second.outcome == "from B"
+        assert calls == ["A", "B"]
+        assert memo.stored == {"k": "from B"}
+        assert memo.counts() == {"hits": 0, "misses": 2}
+        assert memo.get("k", succeeding) == "from B"
+        assert memo.counts() == {"hits": 1, "misses": 2}
 
 
 class TestReportJsonl:
