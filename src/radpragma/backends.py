@@ -7,18 +7,22 @@ RemoteRewriteBackend sends the rule prompt and sentence to an HTTP endpoint
 kept in an unbounded single-flight ``model.BoundedMemo``, so a run is
 deterministic even against a flaky endpoint).
 
-RemoteEndpoint is the package's one HTTP client. It imports ``requests``
-only when a client is made, so offline runs never load it.
+RemoteEndpoint is the package's one HTTP client, on ``http.client``. It
+imports its HTTP modules only when a client is made, so offline runs never
+load them.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .cleaning import REMOVED, CleaningRule, build_rewrite_prompt
-from .errors import BackendError
+from .errors import BackendError, InputError
 from .model import BoundedMemo, normalize_text
 
 _I = re.IGNORECASE
@@ -182,15 +186,42 @@ class PatternBackend:
         return result
 
 
+def _http_url(text: str, what: str):
+    """``text`` split by ``urlsplit``, if it is an ``http://`` or
+    ``https://`` URL with a host and a valid port; else InputError naming
+    ``what``."""
+    from urllib.parse import urlsplit
+    try:
+        url = urlsplit(text)
+        url.port  # noqa: B018 -- raises ValueError for a port out of range
+    except ValueError:
+        url = None
+    if url is None or url.scheme not in ("http", "https") or not url.hostname:
+        raise InputError(f"{what} {text!r} is not an http:// or https:// "
+                         f"URL with a host")
+    return url
+
+
 class RemoteEndpoint:
-    """A JSON endpoint, named ``what`` in errors, and the HTTP session that
-    one stage run shares across its threads; ``close()``, or leaving a
-    ``with`` block, closes the session."""
+    """A JSON endpoint, named ``what`` in errors, and the keep-alive
+    connections that one stage run shares across its threads.
+
+    Each request in flight takes an idle connection, or opens one, and gives
+    it back once it has read the whole response, so a run opens at most as
+    many connections as it has requests in flight. A connection that fails
+    is closed, and one the server has closed while idle is reopened.
+    ``close()``, or leaving a ``with`` block, closes the idle connections.
+    The endpoint must be an ``http://`` or ``https://`` URL with a host, else
+    InputError. ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are
+    honoured as ``urllib.request.getproxies`` and ``proxy_bypass`` read them.
+    """
 
     def __init__(self, endpoint: str, what: str,
                  auth_token: Optional[str] = None, timeout: float = 30.0,
                  retries: int = 0):
-        import requests
+        from http.client import HTTPConnection, HTTPSConnection
+        from urllib.parse import quote
+        from urllib.request import getproxies, proxy_bypass
         self.endpoint = endpoint
         self.what = what
         self.timeout = timeout
@@ -198,10 +229,33 @@ class RemoteEndpoint:
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
-        self._session = requests.Session()
+        url = _http_url(endpoint, f"{what} endpoint")
+        https = url.scheme == "https"
+        address = (url.hostname, url.port or (443 if https else 80))
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._tunnel = None
+        proxy = getproxies().get(url.scheme)
+        if proxy and not proxy_bypass(url.hostname):
+            proxy = _http_url(proxy if "://" in proxy else f"http://{proxy}",
+                              f"{url.scheme.upper()}_PROXY")
+            if https:
+                self._tunnel = address
+            else:
+                target = endpoint  # the absolute form a proxy expects
+            address = (proxy.hostname, proxy.port or 80)
+        # Percent-encode what may not go on a request line (non-ASCII).
+        self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+        if https:
+            import ssl
+            self._open = partial(HTTPSConnection, *address, timeout=timeout,
+                                 context=ssl.create_default_context())
+        else:
+            self._open = partial(HTTPConnection, *address, timeout=timeout)
+        self._idle: deque = deque()  # append and pop are atomic
 
     def close(self) -> None:
-        self._session.close()
+        while self._idle:
+            self._idle.pop().close()
 
     def __enter__(self) -> RemoteEndpoint:
         return self
@@ -209,34 +263,67 @@ class RemoteEndpoint:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _connection(self):
+        """An idle connection the server has not closed, else a new one."""
+        import select
+        while True:
+            try:
+                connection = self._idle.pop()
+            except IndexError:
+                break
+            # An idle connection has nothing to read unless the server has
+            # closed it; poll, unlike select, takes any descriptor.
+            poller = select.poll()
+            poller.register(connection.sock, select.POLLIN)
+            if not poller.poll(0):
+                return connection
+            connection.close()
+        connection = self._open()
+        if self._tunnel:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on a connection; the status and the response."""
+        connection = self._connection()
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if not response.will_close:  # else http.client has closed it
+            self._idle.append(connection)
+        return response.status, data
+
     def post(self, payload: dict, key: str, *, noun: str, suffix: str = "",
              study_id: Optional[str] = None) -> str:
         """POST ``payload`` and return the string (the ``noun``) under
         ``key`` in the response. Only transport errors are retried, up to
         ``retries`` times. A failure raises BackendError carrying
         ``study_id``, its message ending in ``suffix``."""
-        import requests
+        from http.client import HTTPException
 
         def failure(problem: str, detail: str = "") -> BackendError:
             return BackendError(f"{self.what} endpoint {self.endpoint} "
                                 f"{problem}{suffix}{detail}",
                                 study_id=study_id)
 
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Optional[Exception] = None
         for _ in range(self.retries + 1):
             try:
-                response = self._session.post(
-                    self.endpoint, json=payload, headers=self._headers,
-                    timeout=self.timeout)
+                status, data = self._exchange(body)
                 break
-            except requests.RequestException as exc:
+            except (OSError, HTTPException) as exc:
                 last_error = exc
         else:
             raise failure("unreachable", f": {last_error}")
-        if response.status_code != 200:
-            raise failure(f"returned HTTP {response.status_code}")
+        if status != 200:
+            raise failure(f"returned HTTP {status}")
         try:
-            value = response.json()[key]
+            value = json.loads(data)[key]
         # TypeError: not an object; RecursionError: nested too deeply.
         except (ValueError, KeyError, TypeError, RecursionError):
             raise failure(f"returned a payload without {key!r}") from None

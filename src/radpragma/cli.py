@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
+from urllib.parse import urlsplit
 
 from . import corpus_io, metrics
 from .errors import BackendError, DegenerateTableError, InputError
@@ -52,9 +53,29 @@ class Config:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
+
+def _is_endpoint(value: Optional[str]) -> bool:
+    """Whether ``value`` is unset (empty) or an http(s) URL with a host."""
+    if not value:
+        return True
+    try:
+        url = urlsplit(value)
+        url.port  # noqa: B018 -- raises ValueError for a port out of range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
+_ENDPOINT_LIMIT = (_is_endpoint, "an http:// or https:// URL with a host")
+
 #: The Config fields that take only some values of their type: a test of
 #: the value and what the test asks for.
 _LIMITS = {
+    "clean_endpoint": _ENDPOINT_LIMIT,
+    "generation_endpoint": _ENDPOINT_LIMIT,
+    # An HTTP header value; the token is not echoed in the error.
+    "auth_token": (lambda v: not v or (v.isascii() and v.isprintable()),
+                   "printable ASCII text"),
     "f1_average": (lambda v: v in metrics.F1_AVERAGES,
                    "one of " + ", ".join(metrics.F1_AVERAGES)),
     "timeout": (lambda v: 0 < v < math.inf, "a finite number > 0"),
@@ -67,14 +88,16 @@ _LIMITS = {
 def _checked(name: str, value, source: str, given=None):
     """``value`` if it fits Config field ``name`` and its limit, else an
     InputError: ``<source>: expected <what>, got <given>``, where ``given``
-    (by default ``value``) is the value as the source wrote it."""
+    (by default ``value``) is the value as the source wrote it; an auth
+    token is not shown."""
     declared = _FIELD_TYPES[name]
     test, expected = _LIMITS.get(
         name, (lambda v: True, corpus_io.kind(declared).__name__))
     if corpus_io.fits(declared, value) and test(value):
         return value
-    raise InputError(f"{source}: expected {expected}, got "
-                     f"{value if given is None else given!r}")
+    shown = ("a value not shown" if name == "auth_token"
+             else repr(value if given is None else given))
+    raise InputError(f"{source}: expected {expected}, got {shown}")
 
 
 def _file_values(values: dict) -> dict:

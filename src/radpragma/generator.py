@@ -11,8 +11,6 @@ indication-mentioned condition that was not predicted positive.
 
 from __future__ import annotations
 
-import hashlib
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -25,8 +23,6 @@ from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
 
 if TYPE_CHECKING:
     from .backends import RemoteEndpoint
-
-logger = logging.getLogger(__name__)
 
 INDEX_FORMAT_VERSION = 1
 
@@ -59,6 +55,7 @@ def _key_repr(key: frozenset) -> tuple[str, ...]:
 
 
 def _corpus_digest(reports: Sequence[Report]) -> str:
+    import hashlib  # only index builds need it
     hasher = hashlib.sha256()
     for report in reports:
         hasher.update(report.study_id.encode("utf-8"))
@@ -196,8 +193,10 @@ def build_index(cleaned_corpus: Sequence[Report],
         condition: tuple(sorted(pool, key=lambda s: (len(s.text), s.study_id)))
         for condition, pool in pools.items()}
     if not any(sorted_pools.values()):
-        logger.warning("cleaned corpus contains no single-condition negative "
-                       "sentences; all negative pools are empty")
+        import logging  # only this warning needs it
+        logging.getLogger(__name__).warning(
+            "cleaned corpus contains no single-condition negative "
+            "sentences; all negative pools are empty")
     return RetrievalIndex(
         lexicon_version=lexicon.version,
         corpus_digest=_corpus_digest(cleaned_corpus),

@@ -7,14 +7,14 @@ import time
 from unittest import mock
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth import AdversarialBackend, guard_fixture_sentences
 
 from radpragma import cleaning
-from radpragma.backends import PatternBackend, RemoteRewriteBackend
+from radpragma.backends import (PatternBackend, RemoteEndpoint,
+                                RemoteRewriteBackend)
 from radpragma.cleaning import (DEFAULT_RULES, REMOVED, CleaningRule,
                                 apply_rule, build_rewrite_prompt,
                                 clean_report, clean_report_audited,
@@ -550,13 +550,77 @@ class TestRemoteBackend:
         assert got == REMOVED
         assert state["n"] == 2
 
-    def test_closes_only_a_session_it_opened(self, monkeypatch):
-        closed = []
-        monkeypatch.setattr(requests.Session, "close",
-                            lambda session: closed.append(session))
-        with RemoteRewriteBackend("http://127.0.0.1:9/"):
-            assert not closed
-        assert len(closed) == 1
+    def test_reuses_one_connection_and_closes_it_on_exit(self,
+                                                         http_endpoint):
+        url = http_endpoint(
+            lambda body, handler: (200, {"rewritten": body["sentence"]}),
+            keep_alive=True)
+        server = http_endpoint.servers[-1]
+        with RemoteRewriteBackend(url, retries=0) as backend:
+            for sentence in ("Recommend CT.", "Suggest MRI.", "Advise CT."):
+                backend.rewrite(RULES[3], sentence)
+            assert (server.opened, server.open) == (1, 1)
+        assert server.open_after() == 0
+
+    def test_reopens_a_connection_the_server_closed(self, http_endpoint):
+        posts = []
+
+        def respond(body, handler):
+            posts.append(body["sentence"])
+            return 200, {"rewritten": body["sentence"]}
+
+        url = http_endpoint(respond, drop=True)
+        with RemoteRewriteBackend(url, retries=0) as backend:
+            for sentence in ("Recommend CT.", "Suggest MRI.", "Advise CT."):
+                assert backend.rewrite(RULES[3], sentence) == sentence
+        assert posts == ["Recommend CT.", "Suggest MRI.", "Advise CT."]
+        assert http_endpoint.servers[-1].opened == 3
+
+    def test_threads_never_share_a_connection(self, http_endpoint):
+        # 8 threads on fewer cores, switching every microsecond: a
+        # connection handed to two threads at once would cross answers.
+        url = http_endpoint(lambda body, handler: (200, {"echo": body["n"]}),
+                            keep_alive=True)
+        server = http_endpoint.servers[-1]
+        wrong = []
+
+        def ask(client, first):
+            for n in range(first, first + 25):
+                try:
+                    got = client.post({"n": str(n)}, "echo", noun="echo")
+                except BackendError as exc:
+                    got = exc
+                if got != str(n):
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RemoteEndpoint(url, "test") as client:
+                threads = [threading.Thread(target=ask, args=(client, i * 25))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert 1 <= server.opened <= 8
+        assert server.open_after() == 0
+
+    def test_malformed_endpoint_or_proxy_is_refused_at_once(self,
+                                                           monkeypatch):
+        for url in ("notaurl", "ftp://127.0.0.1/", "http://",
+                    "http://127.0.0.1:99999/"):
+            with pytest.raises(InputError, match="cleaning endpoint"):
+                RemoteRewriteBackend(url)
+        for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:99999")
+        with pytest.raises(InputError, match="HTTP_PROXY"):
+            RemoteRewriteBackend("http://127.0.0.1:9/")
 
     def test_clean_sentence_with_remote_backend(self, http_endpoint, lexicon):
         def respond(body, handler):

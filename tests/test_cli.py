@@ -4,7 +4,6 @@ import os
 import threading
 
 import pytest
-import requests
 
 from pipeline import pipeline_steps, run_pipeline
 from synth import shipped_lexicon_json
@@ -222,6 +221,50 @@ class TestInputErrors:
         assert self._clean_remote(tmp_path, *extra) == 1
         _single_error(capsys, f"error: {where}: expected an integer >= 1, "
                               "got ")
+
+    @pytest.mark.parametrize("url", [
+        "notaurl", "ftp://127.0.0.1/", "http://", "http://127.0.0.1:99999/"])
+    @pytest.mark.parametrize("source", ["config", "env", "flag"])
+    def test_malformed_endpoint_exits_1_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, source, url):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clean_endpoint": url}))
+        extra, where = {
+            "config": (["--config", str(config)],
+                       f"{config}: config key 'clean_endpoint'"),
+            "env": ([], "RADPRAGMA_CLEAN_ENDPOINT"),
+            "flag": (["--clean-endpoint", url], "--clean-endpoint"),
+        }[source]
+        if source == "env":
+            monkeypatch.setenv("RADPRAGMA_CLEAN_ENDPOINT", url)
+        out = tmp_path / "cleaned.jsonl"
+        assert main(["clean", "--in", CORPUS, "--backend", "remote",
+                     "--out", str(out), *extra]) == 1
+        _single_error(capsys, f"error: {where}: expected an http:// or "
+                              f"https:// URL with a host, got {url!r}")
+        assert not out.exists()
+
+    def test_malformed_generation_endpoint_exits_1(self, tmp_path, capsys):
+        assert main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", "127.0.0.1:8080/generate",
+                     "--out", str(tmp_path / "generated.jsonl")]) == 1
+        _single_error(capsys, "--generation-endpoint", "URL with a host")
+
+    def test_empty_endpoint_still_means_unset(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("RADPRAGMA_CLEAN_ENDPOINT", "")
+        assert main(["clean", "--in", CORPUS, "--backend", "remote",
+                     "--out", str(tmp_path / "cleaned.jsonl")]) == 1
+        _single_error(capsys, "requires an endpoint")
+
+    @pytest.mark.parametrize("token", ["a\nb", "\u0442\u043e\u043a"])
+    def test_auth_token_no_header_can_carry_exits_1_unshown(
+            self, tmp_path, capsys, monkeypatch, token):
+        monkeypatch.setenv("RADPRAGMA_AUTH_TOKEN", token)
+        assert self._clean_remote(tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: RADPRAGMA_AUTH_TOKEN: expected printable ASCII text, "
+            "got a value not shown\n")
 
     def test_generate_remote_zero_timeout_exits_1(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -882,42 +925,115 @@ class TestRemoteFailures:
         assert not out.exists()
         _single_error(capsys, url, "'completion'")
 
+    @staticmethod
+    def _run_keeping_clients(tmp_path, http_endpoint, monkeypatch, argv,
+                             key):
+        """Run a remote stage with --jobs 2 against a keep-alive server.
+
+        Each client is kept alive past main(), so only its own close()
+        can close its connections. Returns the clients made, the server
+        and the requests it answered.
+        """
+        from radpragma.backends import RemoteEndpoint
+        clients = []
+        real_init = RemoteEndpoint.__init__
+
+        def recording(client, *args, **kwargs):
+            clients.append(client)
+            real_init(client, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteEndpoint, "__init__", recording)
+        posts = []
+
+        def respond(body, handler):
+            posts.append(body)
+            return 200, {key: body.get("sentence", "No acute process.")}
+
+        url = http_endpoint(respond, keep_alive=True)
+        code = main(argv + [url, "--jobs", "2",
+                            "--out", str(tmp_path / "out.jsonl")])
+        assert code == 0
+        return clients, http_endpoint.servers[-1], posts
+
     def test_generate_remote_shares_one_session(self, tmp_path,
                                                 http_endpoint, monkeypatch):
-        sessions = []
-        real_request = requests.Session.request
-
-        def recording(session, *args, **kwargs):
-            sessions.append(session)
-            return real_request(session, *args, **kwargs)
-
-        monkeypatch.setattr(requests.Session, "request", recording)
-        url = http_endpoint(
-            lambda body, handler: (200, {"completion": "No acute process."}))
-        code = main(["generate", "--requests", CORPUS, "--mode", "remote",
-                     "--generation-endpoint", url, "--jobs", "2",
-                     "--out", str(tmp_path / "generated.jsonl")])
-        assert code == 0
-        assert len(sessions) == len(read_reports_jsonl(CORPUS))
-        assert len({id(session) for session in sessions}) == 1
+        # One client for the run; it keeps at most one connection per job.
+        argv, key = _REMOTE_STAGES[1]
+        clients, server, posts = self._run_keeping_clients(
+            tmp_path, http_endpoint, monkeypatch, argv, key)
+        assert len(clients) == 1
+        assert len(posts) == len(read_reports_jsonl(CORPUS))
+        assert 1 <= server.opened <= 2 < len(posts)
 
     @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
     def test_remote_stage_closes_its_session(self, tmp_path, http_endpoint,
                                              monkeypatch, argv, key):
-        closed = []
-        real_close = requests.Session.close
+        clients, server, posts = self._run_keeping_clients(
+            tmp_path, http_endpoint, monkeypatch, argv, key)
+        assert len(clients) == 1 and server.opened >= 1
+        assert server.open_after() == 0
 
-        def recording(session):
-            closed.append(session)
-            return real_close(session)
+    @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
+    def test_remote_stage_reopens_connections_the_server_closed(
+            self, tmp_path, http_endpoint, monkeypatch, argv, key):
+        # The server closes each connection after one response, without
+        # saying so; with no retries, every request still goes out once.
+        monkeypatch.setenv("RADPRAGMA_RETRIES", "0")
+        posts = []
 
-        monkeypatch.setattr(requests.Session, "close", recording)
-        url = http_endpoint(lambda body, handler: (
-            200, {key: body.get("sentence", "No acute process.")}))
+        def respond(body, handler):
+            posts.append(json.dumps(body, sort_keys=True))
+            return 200, {key: body.get("sentence", "No acute process.")}
+
+        url = http_endpoint(respond, drop=True)
         code = main(argv + [url, "--jobs", "2",
                             "--out", str(tmp_path / "out.jsonl")])
         assert code == 0
-        assert len(closed) == 1
+        assert len(posts) == len(set(posts)) == \
+            http_endpoint.servers[-1].opened
+        if key == "completion":
+            assert len(posts) == len(read_reports_jsonl(CORPUS))
+
+    @staticmethod
+    def _only_proxy(monkeypatch, variable, proxy):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "NO_PROXY",
+                     "REQUEST_METHOD"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(variable, proxy)
+
+    @pytest.mark.parametrize("argv, key", _REMOTE_STAGES)
+    def test_remote_stage_posts_through_http_proxy(
+            self, tmp_path, http_endpoint, monkeypatch, argv, key):
+        # Nothing listens on port 9: only the proxy can answer.
+        seen = []
+
+        def respond(body, handler):
+            seen.append((handler.command, handler.path,
+                         handler.headers["Host"]))
+            return 200, {key: body.get("sentence", "No acute process.")}
+
+        self._only_proxy(monkeypatch, "HTTP_PROXY", http_endpoint(respond))
+        endpoint = "http://127.0.0.1:9/v1/run?x=1"
+        assert main(argv + [endpoint, "--out",
+                            str(tmp_path / "out.jsonl")]) == 0
+        assert seen and set(seen) == {("POST", endpoint, "127.0.0.1:9")}
+
+    def test_https_endpoint_tunnels_through_https_proxy(
+            self, tmp_path, capsys, http_endpoint, monkeypatch):
+        seen = []
+
+        def respond(body, handler):
+            seen.append((handler.command, handler.path))
+            return 403, {}
+
+        self._only_proxy(monkeypatch, "HTTPS_PROXY", http_endpoint(respond))
+        endpoint = "https://127.0.0.1:9/generate"
+        code = main(["generate", "--requests", CORPUS, "--mode", "remote",
+                     "--generation-endpoint", endpoint,
+                     "--out", str(tmp_path / "generated.jsonl")])
+        assert code == 2
+        assert seen == [("CONNECT", "127.0.0.1:9")]
+        _single_error(capsys, endpoint, "unreachable", "403")
 
     def test_clean_remote_against_mock_endpoint(self, tmp_path,
                                                 http_endpoint):

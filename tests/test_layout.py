@@ -1,8 +1,9 @@
 """Checks on how the package loads, on the names the benchmark's tracer
 wraps, that no module keeps an import or private name it never reads, that
-no public name is read only by tests, that only ``backends`` imports
-``requests`` and only ``model`` imports ``threading``, and that a stage
-reads every configuration field."""
+no public name is read only by tests, that the package imports only the
+standard library, that only ``backends`` imports ``http.client`` and only
+``model`` imports ``threading``, and that a stage reads every configuration
+field."""
 
 import ast
 import dataclasses
@@ -63,7 +64,7 @@ def _child(code, *args):
 def test_offline_start_does_not_load_requests():
     # Every CLI stage is a fresh process; only the remote modes need HTTP.
     code = ("import sys, radpragma.cli as cli; cli.default_lexicon(); "
-            "print(sorted(m for m in ('requests', 'urllib3') "
+            "print(sorted(m for m in ('requests', 'http.client') "
             "if m in sys.modules))")
     assert _child(code) == "[]"
 
@@ -112,7 +113,11 @@ def test_each_stage_loads_only_what_it_runs(stage_modules, stage):
     loaded = stage_modules[stage]
     assert set(needed) <= loaded
     assert not loaded & set(unneeded)
-    assert not loaded & {"concurrent.futures", "requests"}
+    assert not loaded & {"concurrent.futures", "http.client", "requests"}
+    if stage == "generate":
+        assert not loaded & {"hashlib", "logging"}
+    if stage == "index":
+        assert "logging" not in loaded
 
 
 def test_import_loads_no_submodule():
@@ -216,29 +221,41 @@ def test_every_import_and_private_name_is_read(module):
 
 
 def _imported_modules(tree):
-    """The top-level names of the modules that ``tree`` imports anywhere,
-    ``if TYPE_CHECKING:`` blocks and function bodies included."""
+    """The dotted names of the modules that ``tree`` imports absolutely
+    anywhere, ``if TYPE_CHECKING:`` blocks and function bodies included."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            yield node.module.split(".")[0]
+            yield node.module
 
 
-def test_only_backends_imports_requests():
+def _importers(name):
+    """The package's modules that import module ``name``."""
+    return [module for module in sorted(os.listdir(PACKAGE))
+            if module.endswith(".py") and name in
+            _imported_modules(_parse(os.path.join(PACKAGE, module)))]
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml lists no runtime dependency; keep it that way.
+    outside = sorted(
+        f"{module}: {name}" for module in os.listdir(PACKAGE)
+        if module.endswith(".py")
+        for name in _imported_modules(_parse(os.path.join(PACKAGE, module)))
+        if name.split(".")[0] not in sys.stdlib_module_names | {"radpragma"})
+    assert outside == []
+
+
+def test_only_backends_imports_http_client():
     # backends.RemoteEndpoint is the package's one HTTP client.
-    importers = [module for module in sorted(os.listdir(PACKAGE))
-                 if module.endswith(".py") and "requests" in
-                 _imported_modules(_parse(os.path.join(PACKAGE, module)))]
-    assert importers == ["backends.py"]
+    assert _importers("requests") == []
+    assert _importers("http.client") == ["backends.py"]
 
 
 def test_only_model_imports_threading():
     # model.BoundedMemo is the package's one memo, and holds its one lock.
-    importers = [module for module in sorted(os.listdir(PACKAGE))
-                 if module.endswith(".py") and "threading" in
-                 _imported_modules(_parse(os.path.join(PACKAGE, module)))]
-    assert importers == ["model.py"]
+    assert _importers("threading") == ["model.py"]
 
 
 def _names_read(directory):
