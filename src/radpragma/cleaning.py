@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
-from .labeler import Lexicon, label_sentence
+from .labeler import Lexicon, label_normalized
 from .model import (BoundedMemo, LabelVector, Report, join_sentences,
                     normalize_text, segment_sentences, stem_pattern)
 
@@ -169,6 +169,13 @@ class RuleOutcome:
         return {"rule_id": self.rule_id, "candidate": self.candidate,
                 "accepted": self.accepted, "reason": self.reason}
 
+    def _json(self) -> str:
+        # ``_encode(self.to_dict())``: keys in sorted order, and a reason
+        # that needs no escaping.
+        return (f'{{"accepted": {"true" if self.accepted else "false"}, '
+                f'"candidate": {_encode(self.candidate)}, '
+                f'"reason": "{self.reason}", "rule_id": {self.rule_id}}}')
+
 
 @dataclass(frozen=True)
 class SentenceAudit:
@@ -192,7 +199,7 @@ class SentenceAudit:
         # after "outcomes".
         return (f'{{"final": {_encode(self.final)}, "index": ',
                 f', "original": {_encode(self.original)}, "outcomes": '
-                f'{_encode([o.to_dict() for o in self.outcomes])}, '
+                f'[{", ".join(o._json() for o in self.outcomes)}], '
                 f'"study_id": ')
 
 
@@ -215,36 +222,46 @@ def clean_sentence_audited(sentence: str,
                            backend: RewriteBackend,
                            lexicon: Optional[Lexicon] = None,
                            ) -> SentenceAudit:
-    """Fold DEFAULT_RULES, in rule-id order, over a sentence under the label
-    guard; keep an audit."""
-    current = normalize_text(sentence)
+    """Fold DEFAULT_RULES, in rule-id order, over a sentence, normalized,
+    under the label guard; keep an audit."""
+    return _clean_normalized(sentence, normalize_text(sentence), backend,
+                             lexicon)
+
+
+def _clean_normalized(original: str, current: str, backend: RewriteBackend,
+                      lexicon: Optional[Lexicon]) -> SentenceAudit:
+    """``clean_sentence_audited(original)``, given ``current``, the
+    normalized ``original``. The pre-rule labels are needed only once a rule
+    changes the text; an accepted rewrite keeps them, so they are computed
+    at most once."""
     outcomes: list[RuleOutcome] = []
     if current == REMOVED or not current:
-        return SentenceAudit(sentence, current, ())
-    current_labels = label_sentence(current, lexicon)
-    no_mentions = current_labels == LabelVector.all_not_mentioned()
+        return SentenceAudit(original, current, ())
+    current_labels = None
     for rule in DEFAULT_RULES:
         candidate = _rewrite(current, rule, backend)
         if candidate == current:
             outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
                                         "no-change"))
             continue
+        if current_labels is None:
+            current_labels = label_normalized(current, lexicon)
         if candidate == REMOVED:
-            if no_mentions:
+            if current_labels == LabelVector.all_not_mentioned():
                 outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
                                             "removed"))
-                return SentenceAudit(sentence, REMOVED, tuple(outcomes))
+                return SentenceAudit(original, REMOVED, tuple(outcomes))
             outcomes.append(RuleOutcome(rule.rule_id, candidate, False,
                                         "guard-discarded-removal"))
             continue
-        if label_sentence(candidate, lexicon) == current_labels:
+        if label_normalized(candidate, lexicon) == current_labels:
             outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
                                         "accepted"))
             current = candidate
         else:
             outcomes.append(RuleOutcome(rule.rule_id, candidate, False,
                                         "guard-discarded-rewrite"))
-    return SentenceAudit(sentence, current, tuple(outcomes))
+    return SentenceAudit(original, current, tuple(outcomes))
 
 
 def clean_sentence(sentence: str, backend: RewriteBackend,
@@ -259,8 +276,9 @@ FOLD_MEMO_CAP = 8_192
 
 def _fold(text: str, backend: RewriteBackend, lexicon: Optional[Lexicon],
           audit: bool) -> SentenceAudit | str:
-    """Sentence ``text``'s audit, or without ``audit`` its final text."""
-    folded = clean_sentence_audited(text, backend, lexicon)
+    """Segmented sentence ``text``'s audit, or without ``audit`` its final
+    text."""
+    folded = _clean_normalized(text, text, backend, lexicon)
     return folded if audit else folded.final
 
 
@@ -324,9 +342,10 @@ def evaluate_cleaning(machine_cleaned: Sequence[str],
             f"{len(originals)} original sentences")
 
     def labels_of(text: str) -> LabelVector:
-        if normalize_text(text) == REMOVED:
+        text = normalize_text(text)
+        if text == REMOVED:
             return LabelVector.all_not_mentioned()
-        return label_sentence(text, lexicon)
+        return label_normalized(text, lexicon)
 
     pred = {str(i): labels_of(s) for i, s in enumerate(machine_cleaned)}
     ref = {str(i): labels_of(s) for i, s in enumerate(originals)}

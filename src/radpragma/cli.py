@@ -316,11 +316,10 @@ def cmd_clean(args, config: Config) -> tuple:
     memo = BoundedMemo(cleaning.FOLD_MEMO_CAP)
 
     def clean_all(backend, workers: int) -> list:
-        # Each report's audit lines, made only if they will be written.
+        # Each cleaned report, and its audits if they will be written.
         def clean(report):
-            cleaned, audits = cleaning.clean_report_audited(
+            return cleaning.clean_report_audited(
                 report, backend, lexicon, memo, audit=bool(args.audit))
-            return cleaned, cleaning.audit_jsonl(report.study_id, audits)
 
         return _run_all(clean, corpus, workers)
 
@@ -334,8 +333,11 @@ def cmd_clean(args, config: Config) -> tuple:
             results = clean_all(backend, config.jobs)
     corpus_io.write_reports_jsonl([report for report, _ in results], args.out)
     if args.audit:
-        corpus_io.write_text_atomic(
-            args.audit, "".join(lines for _, lines in results))
+        # One report's audit lines at a time, so the audit text is never
+        # held whole.
+        corpus_io.write_chunks_atomic(args.audit, (
+            cleaning.audit_jsonl(report.study_id, audits)
+            for report, audits in results))
     return ({"in": args.infile, "backend": args.backend},
             _label_memo(lexicon) | {"clean_memo": memo.counts()})
 

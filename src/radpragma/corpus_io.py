@@ -26,7 +26,14 @@ _T = TypeVar("_T")
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` so that no partial file is ever visible.
+    """Write text to ``path`` so that no partial file is ever visible."""
+    write_chunks_atomic(path, (text,))
+
+
+def write_chunks_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path``, each into a temp file
+    as it comes, so that no partial file is ever visible: if a chunk raises,
+    the path is left as it was.
 
     The file gets the mode ``open`` would give it: 0o666 less the umask.
     """
@@ -36,7 +43,7 @@ def write_text_atomic(path: str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

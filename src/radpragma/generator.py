@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .corpus_io import load_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
-                      indication_mentions, label_sentence)
+                      indication_mentions, label_normalized)
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
                     Report, join_sentences, normalize_text, segment_sentences)
 
@@ -175,7 +175,7 @@ def build_index(cleaned_corpus: Sequence[Report],
         impression = normalize_text(report.impression)
         impressions[report.study_id] = impression
         sentences = segment_sentences(impression)
-        vectors = [label_sentence(s.text, lexicon) for s in sentences]
+        vectors = [label_normalized(s.text, lexicon) for s in sentences]
         positives = aggregate_labels(vectors).positives()
         by_label_set.setdefault(positives, []).append(report.study_id)
         for sentence, vector in zip(sentences, vectors):

@@ -10,11 +10,16 @@ fewer than ``scope_window`` word tokens in between. Uncertainty outranks
 negation when both are in scope. No Finding ignores cues entirely: it is
 positive exactly when one of its explicit phrases matches.
 
-Memos: each ``Lexicon`` instance keeps the labels of the sentences, and the
-mention sets of the indications, it has labeled, keyed by the text exactly
-as given, and every caller that labels with it shares them. Equal label
-vectors are one shared ``LabelVector`` (safe, as it is immutable). Each of
-these ``model.BoundedMemo``s holds at most ``_MEMO_CAP`` entries.
+Memos: each ``Lexicon`` instance keeps the labels of the sentences it has
+labeled, keyed by normalized text, and the mention sets of the indications,
+keyed by the text as given; every caller that labels with it shares them.
+Equal label vectors are one shared ``LabelVector`` (safe, as it is
+immutable). Each of these ``model.BoundedMemo``s holds at most
+``_MEMO_CAP`` entries.
+
+Text is normalized once, at the boundary: the public entries normalize
+what they are given, and ``label_normalized`` takes text that is already
+normalized (segmentation output, a cleaning rule's output) as it is.
 """
 
 from __future__ import annotations
@@ -176,7 +181,7 @@ class Lexicon:
     uncertainty_cues: tuple[str, ...]
     phrases: tuple[tuple[Condition, tuple[str, ...]], ...]
     _compiled: dict = field(default=None, compare=False, repr=False)
-    _labels: BoundedMemo = _memo()  # sentence text -> LabelVector
+    _labels: BoundedMemo = _memo()  # normalized text -> LabelVector
     _vectors: BoundedMemo = _memo()  # value codes -> the shared LabelVector
     _mentions: BoundedMemo = _memo()  # indication -> mention set
 
@@ -229,7 +234,8 @@ class Lexicon:
         return load_json(path, "lexicon", cls.from_dict)
 
     def memo_counts(self) -> dict[str, int]:
-        """Hits and misses of ``label_sentence`` calls with this lexicon."""
+        """Hits and misses of the sentence label memo: one per sentence
+        labeled with this lexicon."""
         return self._labels.counts()
 
 
@@ -248,13 +254,20 @@ def _cue_ends(low: str, scans) -> list[int]:
 def label_sentence(sentence: str,
                    lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Label one sentence for all fourteen conditions, from the lexicon's
-    memo if it has labeled the same text before."""
+    memo if it has labeled the same normalized text before."""
+    return label_normalized(normalize_text(sentence), lexicon)
+
+
+def label_normalized(text: str,
+                     lexicon: Optional[Lexicon] = None) -> LabelVector:
+    """``label_sentence(text, lexicon)`` for text that ``normalize_text``
+    leaves as it is, without normalizing it again."""
     lexicon = lexicon or default_lexicon()
-    return lexicon._labels.get(sentence, _label, sentence, lexicon)
+    return lexicon._labels.get(text, _label, text, lexicon)
 
 
-def _label(sentence: str, lexicon: Lexicon) -> LabelVector:
-    codes = _label_codes(normalize_text(sentence).lower(), lexicon)
+def _label(text: str, lexicon: Lexicon) -> LabelVector:
+    codes = _label_codes(text.lower(), lexicon)
     return lexicon._vectors.get(codes, LabelVector,
                                 tuple(_VALUES[code] for code in codes))
 
@@ -317,7 +330,7 @@ def aggregate_labels(vectors: Iterable[LabelVector]) -> LabelVector:
 
 def label_report(text: str, lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Segment text into sentences, label each, and aggregate."""
-    return aggregate_labels(label_sentence(s.text, lexicon)
+    return aggregate_labels(label_normalized(s.text, lexicon)
                             for s in segment_sentences(text))
 
 

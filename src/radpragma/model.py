@@ -259,13 +259,16 @@ class BoundedMemo:
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)  # a computation ended
         self._running: set = set()  # the keys being computed
+        self._waiting = 0  # callers waiting on ``_done``
 
     def get(self, key, compute: Callable, *args):
         """The value stored for ``key``, else ``compute(*args)``, stored."""
         with self._lock:
             value = self.stored.get(key, _ABSENT)
             while value is _ABSENT and key in self._running:
+                self._waiting += 1
                 self._done.wait()
+                self._waiting -= 1
                 value = self.stored.get(key, _ABSENT)
             if value is not _ABSENT:
                 self.hits += 1
@@ -281,7 +284,8 @@ class BoundedMemo:
                         self.stored.clear()
                     self.stored[key] = value
                 self._running.remove(key)
-                self._done.notify_all()
+                if self._waiting:
+                    self._done.notify_all()
         return value
 
     def counts(self) -> dict[str, int]:

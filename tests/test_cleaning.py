@@ -10,21 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import AdversarialBackend, guard_fixture_sentences
+from synth import (AdversarialBackend, guard_fixture_sentences,
+                   shipped_lexicon_json)
 
-from radpragma import cleaning
+from radpragma import cleaning, labeler
 from radpragma.backends import (PatternBackend, RemoteEndpoint,
                                 RemoteRewriteBackend)
 from radpragma.cleaning import (DEFAULT_RULES, REMOVED, CleaningRule,
                                 apply_rule, build_rewrite_prompt,
                                 clean_report, clean_report_audited,
-                                clean_sentence, evaluate_cleaning)
+                                clean_sentence, clean_sentence_audited,
+                                evaluate_cleaning)
 from radpragma.cli import main
 from radpragma.corpus_io import read_reports_jsonl, write_reports_jsonl
 from radpragma.errors import BackendError, InputError
-from radpragma.labeler import default_lexicon, label_report, label_sentence
+from radpragma.labeler import (Lexicon, default_lexicon,
+                               indication_mentions, label_report,
+                               label_sentence)
 from radpragma.model import (BoundedMemo, LabelVector, Report,
-                             segment_sentences)
+                             normalize_text, segment_sentences)
 
 RULES = {rule.rule_id: rule for rule in DEFAULT_RULES}
 
@@ -257,14 +261,16 @@ class TestCleanReport:
 
 
 #: Sentences the rules rewrite, remove or keep, and text that JSON must
-#: escape or keep as it is: quotes, backslashes, non-ASCII, de-id runs.
+#: escape or keep as it is: quotes, backslashes, control characters (NUL is
+#: escaped; DEL and U+2028 are kept), non-ASCII, de-id runs.
 _SENTENCES = guard_fixture_sentences(count=40, seed=15) + [
     "Findings discussed with Dr. ___ by phone.", "Recommend CT.",
     "Compared to ___, new small right pleural effusion.",
     'Pleural effusion has resolved, per "prior" \\ note.',
     "Stable cardiomégaly — unchanged.", "No pneumothorax 中.",
 ]
-_AWKWARD = st.text(alphabet='aZ .,"\\\'é中😀_\t', min_size=1, max_size=12)
+_AWKWARD = st.text(alphabet='aZ .,"\\\'é中😀_\t\x00\x7f\u2028', min_size=1,
+                   max_size=12)
 
 
 def _fold_all(corpus, backend, lexicon, workers, memo):
@@ -388,6 +394,104 @@ class TestFoldMemo:
         counts = memo.counts()
         assert counts["hits"] + counts["misses"] == sum(
             len(segment_sentences(r.impression)) for r in corpus)
+
+
+class TestLazyGuard:
+    """The guard labels a sentence only once a rule changes it."""
+
+    def test_clean_without_a_triggered_rule_labels_nothing(self, tmp_path):
+        # A lexicon loaded from a file has an empty memo.
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(shipped_lexicon_json()))
+        reports = [Report("a", "Small right pleural effusion. No edema."),
+                   Report("b", "Heart size is normal. No edema.")]
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "cleaned.jsonl"
+        write_reports_jsonl(reports, str(corpus))
+        assert main(["clean", "--in", str(corpus), "--lexicon", str(lexicon),
+                     "--out", str(out), "--audit",
+                     str(tmp_path / "audit.jsonl")]) == 0
+        assert read_reports_jsonl(str(out)) == reports
+        run = json.loads((tmp_path / "cleaned.jsonl.run.json").read_text())
+        assert run["label_memo"] == {"hits": 0, "misses": 0}
+        assert run["clean_memo"] == {"hits": 1, "misses": 3}
+
+    def test_labels_the_pre_rule_text_once_and_each_candidate_once(
+            self, monkeypatch, pattern):
+        events = []
+        real_label = labeler._label
+
+        def label(text, lexicon):
+            events.append(("label", text))
+            return real_label(text, lexicon)
+
+        class Recording:
+            def rewrite(self, rule, sentence):
+                events.append(("rewrite", rule.rule_id))
+                return pattern.rewrite(rule, sentence)
+
+        monkeypatch.setattr(labeler, "_label", label)
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
+        sentence = "Compared to ___, new right pleural effusion."
+        audit = clean_sentence_audited(sentence, Recording(), lexicon)
+        accepted = ["New right pleural effusion.", "Right pleural effusion."]
+        assert [(o.rule_id, o.candidate) for o in audit.outcomes
+                if o.reason == "accepted"] == [(1, accepted[0]),
+                                               (5, accepted[1])]
+        assert [text for kind, text in events if kind == "label"] == [
+            sentence, *accepted]
+        # Rule 1's rewrite, the only one before the first change, comes
+        # before any label.
+        assert events[:2] == [("rewrite", 1), ("label", sentence)]
+        assert lexicon.memo_counts() == {"hits": 0, "misses": 3}
+
+
+_RAW_SPACE = st.sampled_from([" ", "  ", "\t", " \t ", "\n", "\u2028"])
+_RAW_DEID = st.sampled_from(["___", "____", "_________"])
+
+
+@st.composite
+def _raw_and_normalized(draw):
+    """Text with whitespace runs, tabs and long de-id runs, and its
+    normalized form."""
+    text = normalize_text(" ".join(draw(st.lists(
+        st.one_of(st.sampled_from(_SENTENCES), _AWKWARD), min_size=1,
+        max_size=3))))
+    # A normalized "___" is a whole underscore run, so a longer one in its
+    # place normalizes back to it.
+    words = [piece + "".join(draw(_RAW_DEID) + rest for rest in tail)
+             for piece, *tail in (word.split("___")
+                                  for word in text.split(" "))]
+    raw = draw(_RAW_SPACE) + "".join(
+        word + draw(_RAW_SPACE) for word in words)
+    assert normalize_text(raw) == text
+    return raw, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_raw_and_normalized())
+def test_raw_and_normalized_text_give_equal_results(pair):
+    # Each public entry normalizes its input; internal callers pass text
+    # that is normalized already. Separate lexicons, so that the raw text's
+    # results come from its own memo.
+    raw, text = pair
+    by_raw, by_text = (Lexicon.from_dict(shipped_lexicon_json())
+                       for _ in range(2))
+    pattern = PatternBackend()
+    assert label_sentence(raw, by_raw) == label_sentence(text, by_text)
+    assert label_report(raw, by_raw) == label_report(text, by_text)
+    assert (indication_mentions(raw, by_raw)
+            == indication_mentions(text, by_text))
+    for rule in DEFAULT_RULES:
+        assert (apply_rule(raw, rule, pattern)
+                == apply_rule(text, rule, pattern))
+    from_raw = clean_sentence_audited(raw, pattern, by_raw)
+    from_text = clean_sentence_audited(text, pattern, by_text)
+    assert from_raw.original == raw
+    assert (from_raw.final, from_raw.outcomes) == (from_text.final,
+                                                   from_text.outcomes)
+    assert (clean_report(Report("s", raw), pattern, by_raw).impression
+            == clean_report(Report("s", text), pattern, by_text).impression)
+
 
 class TestPatternBackendProperties:
     def test_idempotent_on_fixture(self, lexicon, pattern):

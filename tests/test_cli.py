@@ -549,7 +549,8 @@ class TestPipeline:
         assert cleaned["s03"] == "Moderate pulmonary edema."
         assert cleaned["s05"] == "Large right pneumothorax. No pneumonia."
         assert cleaned["s11"] == "No opacities in the left mid lung."
-        metrics = json.loads(open(paths["metrics.json"]).read())
+        with open(paths["metrics.json"], encoding="utf-8") as handle:
+            metrics = json.load(handle)
         assert 0.0 <= metrics["pos_f1"] <= 1.0
 
     def test_offline_jobs_run_in_one_thread(self, tmp_path, monkeypatch):
@@ -570,6 +571,29 @@ class TestPipeline:
         for out in outs:
             with open(out + ".run.json", encoding="utf-8") as handle:
                 assert json.load(handle)["config"]["jobs"] == 4
+
+    def test_interrupted_audit_write_leaves_no_file(self, tmp_path,
+                                                    monkeypatch):
+        # The audit is written one report at a time into a temp file; an
+        # interruption part way leaves neither the audit nor the temp file.
+        from radpragma import cleaning
+        real, written, seen = cleaning.audit_jsonl, [], []
+
+        def interrupted(study_id, audits):
+            if written:
+                seen.extend(os.listdir(tmp_path))
+                raise KeyboardInterrupt
+            written.append(study_id)
+            return real(study_id, audits)
+
+        monkeypatch.setattr(cleaning, "audit_jsonl", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["clean", "--in", CORPUS, "--out",
+                  str(tmp_path / "cleaned.jsonl"), "--audit",
+                  str(tmp_path / "audit.jsonl")])
+        assert len(written) == 1
+        assert any(name.startswith(".tmp-") for name in seen)
+        assert sorted(os.listdir(tmp_path)) == ["cleaned.jsonl"]
 
     def test_clean_without_audit_keeps_no_sentence_audit(self, tmp_path,
                                                          monkeypatch):
@@ -613,8 +637,9 @@ class TestPipeline:
             "--out", str(out)])
         assert code == 0
         got = json.loads(out.read_text())
-        oracle = json.loads(
-            open(os.path.join(FIXTURES, "evaluate_oracle.json")).read())
+        with open(os.path.join(FIXTURES, "evaluate_oracle.json"),
+                  encoding="utf-8") as handle:
+            oracle = json.load(handle)
         for key, expected in oracle.items():
             if isinstance(expected, float):
                 assert got[key] == pytest.approx(expected, abs=1e-9), key

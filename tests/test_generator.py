@@ -82,14 +82,14 @@ class TestBuildIndex:
         import radpragma.labeler as labeler_module
 
         labeled = []
-        real = labeler_module.label_sentence
+        real = labeler_module.label_normalized
 
         def counting(sentence, lexicon=None):
             labeled.append(getattr(sentence, "text", sentence))
             return real(sentence, lexicon)
 
-        monkeypatch.setattr(labeler_module, "label_sentence", counting)
-        monkeypatch.setattr(generator_module, "label_sentence", counting)
+        monkeypatch.setattr(labeler_module, "label_normalized", counting)
+        monkeypatch.setattr(generator_module, "label_normalized", counting)
         build_index(small_corpus(), lexicon)
         assert labeled == [sentence.text for report in small_corpus()
                            for sentence in segment_sentences(
