@@ -19,8 +19,8 @@ from typing import Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
 from .labeler import Lexicon, label_normalized
-from .model import (BoundedMemo, LabelVector, Report, join_sentences,
-                    normalize_text, segment_sentences, stem_pattern)
+from .model import (BoundedMemo, LabelVector, Report, StemIndex,
+                    join_sentences, normalize_text, segment_sentences)
 
 #: Sentinel marking a sentence deleted by a cleaning rule.
 REMOVED = "REMOVED"
@@ -42,9 +42,12 @@ class CleaningRule:
             raise ValueError(
                 f"rule {self.rule_id} prompt lacks the {REMOVED} contract")
 
+    @functools.cached_property
+    def _triggers(self) -> StemIndex:
+        return StemIndex(((self.rule_id, self.trigger_cues),))
+
     def triggered_by(self, sentence: str) -> bool:
-        return stem_pattern(self.trigger_cues).search(sentence.lower()) \
-            is not None
+        return bool(self._triggers.ids(sentence))
 
 
 _PROMPT_1 = (
@@ -136,23 +139,26 @@ def apply_rule(sentence: str, rule: CleaningRule,
     empty rewrite mapped to REMOVED.
     """
     sentence = normalize_text(sentence)
-    if sentence == REMOVED or not sentence:
+    if sentence == REMOVED or not sentence or not rule.triggered_by(sentence):
         return sentence
     return _rewrite(sentence, rule, backend)
 
 
 def _rewrite(sentence: str, rule: CleaningRule,
              backend: RewriteBackend) -> str:
-    """``apply_rule`` on a normalized sentence, neither empty nor REMOVED."""
-    if not rule.triggered_by(sentence):
-        return sentence
+    """``apply_rule`` on a normalized sentence, neither empty nor REMOVED,
+    that triggers ``rule``."""
     try:
         rewritten = backend.rewrite(rule, sentence)
     except BackendError as exc:
         exc.rule_id = rule.rule_id
         raise
-    rewritten = normalize_text(rewritten)
-    return rewritten if rewritten else REMOVED
+    return normalize_text(rewritten) or REMOVED
+
+
+#: The triggers of the rules a fold applies, by rule id.
+_TRIGGERS = StemIndex((rule.rule_id, rule.trigger_cues)
+                      for rule in DEFAULT_RULES)
 
 
 @dataclass(frozen=True)
@@ -165,16 +171,24 @@ class RuleOutcome:
     reason: str  # accepted | no-change | removed | guard-discarded-rewrite |
     #              guard-discarded-removal
 
-    def to_dict(self) -> dict:
-        return {"rule_id": self.rule_id, "candidate": self.candidate,
-                "accepted": self.accepted, "reason": self.reason}
-
     def _json(self) -> str:
-        # ``_encode(self.to_dict())``: keys in sorted order, and a reason
-        # that needs no escaping.
+        # This record as sorted-key JSON; a reason needs no escaping.
         return (f'{{"accepted": {"true" if self.accepted else "false"}, '
                 f'"candidate": {_encode(self.candidate)}, '
                 f'"reason": "{self.reason}", "rule_id": {self.rule_id}}}')
+
+
+#: A no-change outcome's JSON before its candidate, and after it by rule id.
+_NO_CHANGE_HEAD = '{"accepted": true, "candidate": '
+_NO_CHANGE_TAIL = {rule.rule_id: f', "reason": "no-change", '
+                                 f'"rule_id": {rule.rule_id}}}'
+                   for rule in DEFAULT_RULES}
+#: The outcomes' JSON of a fold that no rule changed, around each candidate.
+_UNCHANGED_JSON = (
+    _NO_CHANGE_HEAD,
+    *(f"{_NO_CHANGE_TAIL[rule.rule_id]}, {_NO_CHANGE_HEAD}"
+      for rule in DEFAULT_RULES[:-1]),
+    _NO_CHANGE_TAIL[DEFAULT_RULES[-1].rule_id])
 
 
 @dataclass(frozen=True)
@@ -182,24 +196,54 @@ class SentenceAudit:
     """Audit record of one sentence's fold. It depends only on the sentence
     text (for one backend and lexicon), so a fold memo shares one among the
     sentences with that text; a sentence's index is its position in its
-    report's audit list."""
+    report's audit list. It keeps only the ``changes``, the outcomes other
+    than no-change; ``outcomes`` derives the rest, so two audits are equal
+    exactly when their original, final and outcomes are."""
 
     original: str
     final: str
-    outcomes: tuple[RuleOutcome, ...]
+    changes: tuple[RuleOutcome, ...]
 
-    def to_dict(self) -> dict:
-        return {"original": self.original, "final": self.final,
-                "outcomes": [o.to_dict() for o in self.outcomes]}
+    def _steps(self):
+        """(rule id, its change or None, the text the rule saw) for each
+        rule the fold applied, in rule-id order."""
+        text = normalize_text(self.original)
+        if text == REMOVED or not text:
+            return
+        changes = {change.rule_id: change for change in self.changes}
+        for rule in DEFAULT_RULES:
+            change = changes.get(rule.rule_id)
+            yield rule.rule_id, change, text
+            if change is not None and change.accepted:
+                if change.candidate == REMOVED:
+                    return
+                text = change.candidate
+
+    @property
+    def outcomes(self) -> tuple[RuleOutcome, ...]:
+        """One outcome per rule the fold applied, in rule-id order."""
+        return tuple(change or RuleOutcome(rule_id, text, True, "no-change")
+                     for rule_id, change, text in self._steps())
 
     @functools.cached_property
     def _json(self) -> tuple[str, str]:
         # This record as sorted-key JSON, split where a report adds its
         # keys: "index" sorts between "final" and "original", "study_id"
         # after "outcomes".
-        return (f'{{"final": {_encode(self.final)}, "index": ',
-                f', "original": {_encode(self.original)}, "outcomes": '
-                f'[{", ".join(o._json() for o in self.outcomes)}], '
+        final = _encode(self.final)
+        original = (final if self.original == self.final
+                    else _encode(self.original))
+        if self.changes:
+            outcomes = ", ".join(
+                change._json() if change is not None else
+                f"{_NO_CHANGE_HEAD}{_encode(text)}{_NO_CHANGE_TAIL[rule_id]}"
+                for rule_id, change, text in self._steps())
+        elif self.final == REMOVED or not self.final:  # no rule applied
+            outcomes = ""
+        else:  # every rule saw the final text and left it as it was
+            outcomes = final.join(_UNCHANGED_JSON)
+        return (f'{{"final": {final}, "index": ',
+                f', "original": {original}, "outcomes": [{outcomes}], '
                 f'"study_id": ')
 
 
@@ -209,10 +253,12 @@ _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def audit_jsonl(study_id: str, audits: Sequence[SentenceAudit]) -> str:
-    """A report's audit as JSON lines: line ``i`` is
-    ``json.dumps({"study_id": study_id, "index": i, **audits[i].to_dict()},
-    ensure_ascii=False, sort_keys=True)``, built from each audit's JSON,
-    which is encoded once per ``SentenceAudit``."""
+    """A report's audit as JSON lines: line ``i`` is ``audits[i]`` as a
+    record of ``study_id``, ``index`` (``i``), ``original``, ``final`` and
+    ``outcomes`` (each with ``rule_id``, ``candidate``, ``accepted`` and
+    ``reason``) in ``json.dumps(record, ensure_ascii=False,
+    sort_keys=True)``, built from each audit's JSON, which is encoded once
+    per ``SentenceAudit``."""
     end = f"{_encode(study_id)}}}\n"
     return "".join(f"{audit._json[0]}{index}{audit._json[1]}{end}"
                    for index, audit in enumerate(audits))
@@ -224,49 +270,56 @@ def clean_sentence_audited(sentence: str,
                            ) -> SentenceAudit:
     """Fold DEFAULT_RULES, in rule-id order, over a sentence, normalized,
     under the label guard; keep an audit."""
-    return _clean_normalized(sentence, normalize_text(sentence), backend,
-                             lexicon)
+    changes: list[tuple] = []
+    final = _clean_normalized(normalize_text(sentence), backend, lexicon,
+                              changes)
+    return SentenceAudit(sentence, final,
+                         tuple(RuleOutcome(*change) for change in changes))
 
 
-def _clean_normalized(original: str, current: str, backend: RewriteBackend,
-                      lexicon: Optional[Lexicon]) -> SentenceAudit:
-    """``clean_sentence_audited(original)``, given ``current``, the
-    normalized ``original``. The pre-rule labels are needed only once a rule
-    changes the text; an accepted rewrite keeps them, so they are computed
-    at most once."""
-    outcomes: list[RuleOutcome] = []
-    if current == REMOVED or not current:
-        return SentenceAudit(original, current, ())
-    current_labels = None
+def _clean_normalized(text: str, backend: RewriteBackend,
+                      lexicon: Optional[Lexicon], changes: list) -> str:
+    """The final text of the fold of normalized ``text``. Each outcome
+    other than no-change is appended to ``changes`` as a (rule id,
+    candidate, accepted, reason) tuple.
+
+    A rule runs only if it is triggered, which is worked out once for the
+    text and again after each accepted rewrite. The pre-rule labels are
+    needed only once a rule changes the text; an accepted rewrite keeps
+    them, so they are computed at most once."""
+    if text == REMOVED or not text:
+        return text
+    triggered = _TRIGGERS.ids(text)
+    if not triggered:
+        return text
+    labels = None
     for rule in DEFAULT_RULES:
-        candidate = _rewrite(current, rule, backend)
-        if candidate == current:
-            outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
-                                        "no-change"))
+        if rule.rule_id not in triggered:
             continue
-        if current_labels is None:
-            current_labels = label_normalized(current, lexicon)
+        candidate = _rewrite(text, rule, backend)
+        if candidate == text:
+            continue
+        if labels is None:
+            labels = label_normalized(text, lexicon)
         if candidate == REMOVED:
-            if current_labels == LabelVector.all_not_mentioned():
-                outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
-                                            "removed"))
-                return SentenceAudit(original, REMOVED, tuple(outcomes))
-            outcomes.append(RuleOutcome(rule.rule_id, candidate, False,
-                                        "guard-discarded-removal"))
-            continue
-        if label_normalized(candidate, lexicon) == current_labels:
-            outcomes.append(RuleOutcome(rule.rule_id, candidate, True,
-                                        "accepted"))
-            current = candidate
+            if labels == LabelVector.all_not_mentioned():
+                changes.append((rule.rule_id, candidate, True, "removed"))
+                return REMOVED
+            changes.append((rule.rule_id, candidate, False,
+                            "guard-discarded-removal"))
+        elif label_normalized(candidate, lexicon) == labels:
+            changes.append((rule.rule_id, candidate, True, "accepted"))
+            text = candidate
+            triggered = _TRIGGERS.ids(text)
         else:
-            outcomes.append(RuleOutcome(rule.rule_id, candidate, False,
-                                        "guard-discarded-rewrite"))
-    return SentenceAudit(original, current, tuple(outcomes))
+            changes.append((rule.rule_id, candidate, False,
+                            "guard-discarded-rewrite"))
+    return text
 
 
 def clean_sentence(sentence: str, backend: RewriteBackend,
                    lexicon: Optional[Lexicon] = None) -> str:
-    return clean_sentence_audited(sentence, backend, lexicon).final
+    return _clean_normalized(normalize_text(sentence), backend, lexicon, [])
 
 
 #: Distinct sentences a clean run's fold memo holds before it is cleared:
@@ -278,8 +331,9 @@ def _fold(text: str, backend: RewriteBackend, lexicon: Optional[Lexicon],
           audit: bool) -> SentenceAudit | str:
     """Segmented sentence ``text``'s audit, or without ``audit`` its final
     text."""
-    folded = _clean_normalized(text, text, backend, lexicon)
-    return folded if audit else folded.final
+    if audit:
+        return clean_sentence_audited(text, backend, lexicon)
+    return _clean_normalized(text, backend, lexicon, [])
 
 
 def clean_report_audited(report: Report, backend: RewriteBackend,

@@ -268,8 +268,11 @@ def label_normalized(text: str,
 
 def _label(text: str, lexicon: Lexicon) -> LabelVector:
     codes = _label_codes(text.lower(), lexicon)
-    return lexicon._vectors.get(codes, LabelVector,
-                                tuple(_VALUES[code] for code in codes))
+    return lexicon._vectors.get(codes, _vector, codes)
+
+
+def _vector(codes: bytes) -> LabelVector:
+    return LabelVector(tuple(_VALUES[code] for code in codes))
 
 
 def _label_codes(low: str, lexicon: Lexicon) -> bytes:

@@ -25,7 +25,7 @@ from .corpus_io import load_json, lookup
 from .errors import InputError
 from .labeler import Lexicon, label_report
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
-                    LabelVector, Report, normalize_text, stem_pattern,
+                    LabelVector, Report, StemIndex, normalize_text,
                     tokenize)
 
 #: The allowed ``average`` values of the F1 scores.
@@ -232,11 +232,13 @@ class KeywordCatalog:
     def category_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.categories)
 
+    @functools.cached_property
+    def _index(self) -> StemIndex:
+        return StemIndex(self.categories)
+
     def flags(self, text: str) -> frozenset[str]:
         """Categories whose stems match any token of ``text``."""
-        lowered = text.lower()
-        return frozenset(name for name, stems in self.categories
-                         if stem_pattern(stems).search(lowered))
+        return frozenset(self._index.ids(text))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KeywordCatalog":

@@ -1,17 +1,18 @@
-"""Core domain types, text normalization, segmentation, and one memo class.
+"""Core domain types, text normalization, segmentation, a stem index, and
+one memo class.
 
 Everything downstream (labeling, cleaning, metrics, retrieval) works on the
-types defined here. All but ``BoundedMemo`` are immutable after creation.
+types defined here. All but ``BoundedMemo`` and the token table of a
+``StemIndex`` are immutable after creation.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 
 class Condition(Enum):
@@ -158,17 +159,18 @@ class Sentence:
 
 
 _DEID_RUN = re.compile(r"_{3,}")
-_WHITESPACE_RUN = re.compile(r"\s+")
 
 
 def normalize_text(raw: str) -> str:
     """Collapse whitespace runs, trim ends, canonicalize de-id underscores.
 
     Case and punctuation are preserved; runs of three or more underscores
-    become the canonical ``___`` token. Idempotent and total.
+    become the canonical ``___`` token. Idempotent and total. Whitespace is
+    what ``str.isspace`` says it is, the same 29 code points as regex ``\\s``.
     """
-    text = _DEID_RUN.sub("___", raw)
-    return _WHITESPACE_RUN.sub(" ", text).strip()
+    if "___" in raw:
+        raw = _DEID_RUN.sub("___", raw)
+    return " ".join(raw.split())
 
 
 # Sentence boundaries: terminal punctuation, whitespace, then an uppercase
@@ -220,24 +222,50 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@functools.lru_cache(maxsize=64)
-def stem_pattern(stems: tuple[str, ...]) -> re.Pattern:
-    """One regex that finds, in lowercased text, a token any stem matches.
+#: Distinct tokens a ``StemIndex`` keeps the ids of before it is cleared.
+_TOKEN_CAP = 65_536
+
+
+class StemIndex:
+    """Which ids have a stem that matches some token of a text.
 
     A stem of 4+ characters matches a token it prefixes, a shorter one only
     an equal token, which keeps two-letter stems like "ap"/"pa" from firing
-    inside ordinary words. Tokens are as ``tokenize`` splits them. A stem
-    that is not ``[a-z0-9]+`` can never equal or prefix such a token, so it
-    is left out; with no stem left the pattern never matches.
+    inside ordinary words. Tokens are as ``tokenize`` splits them, so a stem
+    that is not ``[a-z0-9]+`` never matches. The index maps each token it
+    has seen to the ids it matches; tokens are few next to the texts that
+    repeat them, so a text costs one tokenization and a lookup per token.
+    Threads may share an index: a token two of them learn at once gets the
+    same ids from each.
     """
-    valid = sorted({stem for stem in stems if _TOKEN.fullmatch(stem)})
-    alternatives = [stem for stem in valid if len(stem) >= 4]
-    short = [stem for stem in valid if len(stem) <= 3]
-    if short:
-        alternatives.append(f"(?:{'|'.join(short)})(?![a-z0-9])")
-    if not alternatives:
-        return re.compile(r"(?!)")
-    return re.compile(f"(?<![a-z0-9])(?:{'|'.join(alternatives)})")
+
+    def __init__(self, stems: Iterable[tuple[Hashable, Iterable[str]]]):
+        self._stems = []  # (id, long stems, short stems) per id
+        for key, group in stems:
+            group = tuple(group)
+            self._stems.append((key, tuple(s for s in group if len(s) >= 4),
+                                frozenset(s for s in group if len(s) < 4)))
+        self._ids: dict[str, tuple] = {}  # token -> the ids it matches
+
+    def ids(self, text: str) -> set:
+        """The ids with a stem that matches a token of ``text``."""
+        found = set()
+        known = self._ids
+        for token in tokenize(text):
+            ids = known.get(token)
+            if ids is None:
+                ids = self._learn(token)
+            if ids:
+                found.update(ids)
+        return found
+
+    def _learn(self, token: str) -> tuple:
+        ids = tuple(key for key, long, short in self._stems
+                    if token in short or token.startswith(long))
+        if len(self._ids) >= _TOKEN_CAP:
+            self._ids.clear()
+        self._ids[token] = ids
+        return ids
 
 
 _ABSENT = object()

@@ -315,7 +315,13 @@ class TestFoldMemo:
                   for r in reports]
         expected_audit = "".join(
             json.dumps({"study_id": r.study_id, "index": sentence.index,
-                        **a.to_dict()}, ensure_ascii=False, sort_keys=True)
+                        "original": a.original, "final": a.final,
+                        "outcomes": [{"rule_id": o.rule_id,
+                                      "candidate": o.candidate,
+                                      "accepted": o.accepted,
+                                      "reason": o.reason}
+                                     for o in a.outcomes]},
+                       ensure_ascii=False, sort_keys=True)
             + "\n" for r, (_, audits) in zip(reports, folded)
             for sentence, a in zip(segment_sentences(r.impression), audits))
         with tempfile.TemporaryDirectory() as tmp:

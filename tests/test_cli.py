@@ -616,6 +616,24 @@ class TestPipeline:
         assert alive == [before]
         assert audits_alive() == before
 
+    def test_clean_builds_outcomes_only_for_an_audit(self, tmp_path,
+                                                     monkeypatch):
+        # Counted as they are made, not found with ``gc.get_objects``: the
+        # GC does not track a tuple whose items are all atomic, such as the
+        # changes a fold collects.
+        built = []
+        for record in (RuleOutcome, SentenceAudit):
+            def counting(self, *args, _init=record.__init__):
+                built.append(type(self))
+                _init(self, *args)
+            monkeypatch.setattr(record, "__init__", counting)
+        out = str(tmp_path / "cleaned.jsonl")
+        assert main(["clean", "--in", CORPUS, "--out", out]) == 0
+        assert built == []
+        assert main(["clean", "--in", CORPUS, "--out", out, "--audit",
+                     str(tmp_path / "audit.jsonl")]) == 0
+        assert {RuleOutcome, SentenceAudit} <= set(built)
+
     def test_run_record_counts_fold_memo_hits_and_misses(self, tmp_path):
         out = tmp_path / "cleaned.jsonl"
         assert main(["clean", "--in", CORPUS, "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -9,14 +10,20 @@ from hypothesis import given, settings, strategies as st
 from oracles import naive_stem_match
 from synth import label_vector
 
+from radpragma import cleaning, model
 from radpragma.cleaning import DEFAULT_RULES
 from radpragma.corpus_io import (read_labels_csv, read_reports_jsonl,
                                  write_labels_csv, write_reports_jsonl)
 from radpragma.errors import InputError
 from radpragma.metrics import default_catalog
 from radpragma.model import (CONDITIONS, BoundedMemo, Condition, LabelValue,
-                             LabelVector, Report, normalize_text,
-                             segment_sentences, stem_pattern, tokenize)
+                             LabelVector, Report, StemIndex, normalize_text,
+                             segment_sentences, tokenize)
+
+
+def _regex_normalize(raw):
+    """The regex definition ``normalize_text`` must agree with."""
+    return re.sub(r"\s+", " ", re.sub(r"_{3,}", "___", raw)).strip()
 
 
 class TestNormalizeText:
@@ -39,6 +46,22 @@ class TestNormalizeText:
     def test_idempotent(self, text):
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+    def test_whitespace_is_what_regex_calls_whitespace(self):
+        # ``str.split`` splits where ``str.isspace`` holds; regex ``\s``
+        # matches the same 29 code points, over all of Unicode.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = [ch for ch in every if ch.isspace()]
+        assert len(spaces) == 29
+        assert re.findall(r"\s", every) == spaces
+        assert normalize_text(every) == _regex_normalize(every)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(
+        [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
+         "\u200b", "_", "a", "."]) | st.characters()))
+    def test_matches_regex_definition(self, raw):
+        assert normalize_text(raw) == _regex_normalize(raw)
 
 
 class TestSegmentSentences:
@@ -389,7 +412,7 @@ class TestLabelCsv:
 
 
 def _hit(text, *stems):
-    return stem_pattern(stems).search(text.lower()) is not None
+    return StemIndex([("hit", stems)]).ids(text) == {"hit"}
 
 
 # Text pieces around the shipped stems: the stems themselves, longer and
@@ -435,10 +458,22 @@ class TestStemMatching:
         for rule in DEFAULT_RULES:
             assert rule.triggered_by(text) == \
                 naive_stem_match(text, rule.trigger_cues)
+        # The fold works out every rule's trigger in one pass.
+        assert cleaning._TRIGGERS.ids(text) == {
+            rule.rule_id for rule in DEFAULT_RULES
+            if rule.triggered_by(text)}
         catalog = default_catalog()
         assert catalog.flags(text) == {
             name for name, stems in catalog.categories
             if naive_stem_match(text, stems)}
+
+    def test_full_token_table_is_cleared(self, monkeypatch):
+        monkeypatch.setattr(model, "_TOKEN_CAP", 2)
+        index = StemIndex([(1, ("ap", "compar")), (2, ("new",))])
+        text = "AP view compared to new apex"
+        for _ in range(2):
+            assert index.ids(text) == {1, 2}
+            assert len(index._ids) <= 2
 
     def test_tokenize(self):
         assert tokenize("Compared to ___, 2 views (AP/PA).") == \
