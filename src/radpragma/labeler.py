@@ -10,6 +10,15 @@ fewer than ``scope_window`` word tokens in between. Uncertainty outranks
 negation when both are in scope. No Finding ignores cues entirely: it is
 positive exactly when one of its explicit phrases matches.
 
+Matching: each condition's phrases, and each cue on its own, match as one
+regex alternation of them would under ``finditer``: leftmost, longest at a
+start, and no two overlapping. Phrases, and cues with a letter or digit,
+match only between non-word characters; a punctuation cue such as ``?``
+matches anywhere. An entry led by a word character can only start where a
+word token starts, so a token index maps each first token to its entries,
+which ``str.startswith`` confirms; ``str.find`` finds the other entries.
+A cue listed under both polarities counts for both.
+
 Memos: each ``Lexicon`` instance keeps the labels of the sentences it has
 labeled, keyed by normalized text, and the mention sets of the indications,
 keyed by the text as given; every caller that labels with it shares them.
@@ -26,8 +35,7 @@ from __future__ import annotations
 
 import functools
 import json
-import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional
@@ -35,11 +43,9 @@ from typing import Iterable, Optional
 from .corpus_io import load_json
 from .errors import InputError
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, BoundedMemo, Condition,
-                    LabelValue, LabelVector, normalize_text,
+                    LabelValue, LabelVector, _TOKEN, normalize_text,
                     segment_sentences)
 
-_WORD = re.compile(r"[a-z0-9]+")
-_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 _NO_FINDING = CONDITIONS.index(Condition.NO_FINDING)
 
 _POS, _UNC, _NEG, _NM = _VALUES = (
@@ -48,101 +54,55 @@ _POS, _UNC, _NEG, _NM = _VALUES = (
 _POS_CODE, _UNC_CODE, _NEG_CODE, _NM_CODE = range(len(_VALUES))
 
 
-def _overlap_from(a: str, b: str) -> bool:
-    """Whether some text has a match of entry ``b`` starting inside a match
-    of entry ``a``. An entry with a word character only matches between
-    non-word characters; a punctuation cue such as "?" matches anywhere."""
-    a_bounded, b_bounded = _WORD.search(a), _WORD.search(b)
-    shift = a.find(b[0])
-    while shift >= 0:
-        size = min(len(a) - shift, len(b))
-        if a[shift:shift + size] == b[:size]:
-            # The shortest text holding both matches, and the positions
-            # next to them that must not be word characters.
-            joined = a + b[size:]
-            edges = ([len(a)] if a_bounded else []) + (
-                [shift - 1, shift + len(b)] if b_bounded else [])
-            if not any(0 <= i < len(joined) and joined[i] in _WORD_CHARS
-                       for i in edges):
-                return True
-        shift = a.find(b[0], shift + 1)
-    return False
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 
 
-def _disjoint_groups(items: list[tuple[str, ...]]) -> list[list[int]]:
-    """Indices of ``items`` in groups where no match of an entry of one item
-    can overlap a match of an entry of another, in any text.
-
-    One alternation over a group finds exactly the matches each item's own
-    regex would, because at any position at most one item can match and no
-    match of one item can hide a match of another. Items that can overlap
-    (``no`` and ``no evidence of``; ``consolidative opacity`` and
-    ``opacity``) go to different groups, since one scan keeps only one of
-    two overlapping matches.
-    """
-    # Entries that start and end with a word character can only overlap
-    # where they share a whole word token, so items whose tokens differ
-    # need no closer look.
-    tokens = [frozenset(_WORD.findall(" ".join(item)))
-              if all(e[0] in _WORD_CHARS and e[-1] in _WORD_CHARS
-                     for e in item) else None
-              for item in items]
-
-    def clash(i: int, j: int) -> bool:
-        if (tokens[i] is not None and tokens[j] is not None
-                and tokens[i].isdisjoint(tokens[j])):
-            return False
-        return any(_overlap_from(a, b) or _overlap_from(b, a)
-                   for a in items[i] for b in items[j])
-
-    groups: list[list[int]] = []
-    for i in range(len(items)):
-        for group in groups:
-            if not any(clash(i, j) for j in group):
-                group.append(i)
-                break
+def _token_index(entries: Iterable[tuple[int, str]], always_bounded: bool):
+    """(first word token -> its (entry, owner)s, longest first; the
+    (entry, owner, bounded)s led by a non-word character). A bounded entry
+    matches only between non-word characters; an entry led by a word
+    character always is."""
+    led: dict[str, list[tuple[str, int]]] = {}
+    loose = []
+    for owner, entry in entries:
+        if entry[0] in _WORD_CHARS:
+            first = _TOKEN.match(entry).group()
+            led.setdefault(first, []).append((entry, owner))
         else:
-            groups.append([i])
-    return groups
+            loose.append((entry, owner, always_bounded
+                          or not _WORD_CHARS.isdisjoint(entry)))
+    return ({first: tuple(sorted(group, key=lambda e: -len(e[0])))
+             for first, group in led.items()}, tuple(loose))
 
 
-def _alternation(phrases: Iterable[str]) -> str:
-    # Longest alternative first so multi-word phrases win at a shared start.
-    return "|".join(sorted((re.escape(p) for p in phrases), key=len,
-                           reverse=True))
-
-
-def _phrase_scans(phrases: tuple[tuple[Condition, tuple[str, ...]], ...],
-                  ) -> tuple[tuple[re.Pattern, tuple[int, ...]], ...]:
-    """(scan, condition index of each capture group) per disjoint group of
-    conditions; the scan gives each condition the matches of
-    ``(?<![a-z0-9])(?:its phrases)(?![a-z0-9])``. (A phrase without a word
-    character is grouped as if it matched anywhere, which only splits
-    groups further.)"""
-    items = [tuple(ps) for _, ps in phrases]
-    scans = []
-    for group in _disjoint_groups(items):
-        body = "|".join("(" + _alternation(items[i]) + ")" for i in group)
-        scans.append((
-            re.compile(r"(?<![a-z0-9])(?:" + body + r")(?![a-z0-9])"),
-            tuple(CONDITIONS.index(phrases[i][0]) for i in group)))
-    return tuple(scans)
-
-
-def _cue_scans(cues: Iterable[str]) -> tuple[re.Pattern, ...]:
-    """Scans that together find every match of every cue: a word cue
-    between non-word characters, a punctuation cue anywhere."""
-    cues = list(dict.fromkeys(cues))
-    scans = []
-    for group in _disjoint_groups([(cue,) for cue in cues]):
-        members = [cues[i] for i in group]
-        words = [cue for cue in members if _WORD.search(cue)]
-        parts = [re.escape(cue) for cue in members if not _WORD.search(cue)]
-        if words:
-            parts.insert(0, r"(?<![a-z0-9])(?:" + _alternation(words)
-                         + r")(?![a-z0-9])")
-        scans.append(re.compile("|".join(parts)))
-    return tuple(scans)
+def _matches(low: str, words: list[tuple[int, str]], index,
+             ) -> list[tuple[int, int, int]]:
+    """(start, end, owner) of each owner's matches in ``low``, as the module
+    note says; ``words`` holds each word token of ``low`` with its start."""
+    led, loose = index
+    found = []
+    for start, word in words:
+        for entry, owner in led.get(word, ()):
+            end = start + len(entry)
+            if (low.startswith(entry, start)
+                    and low[end:end + 1] not in _WORD_CHARS):
+                found.append((start, -len(entry), owner))
+    for entry, owner, bounded in loose:
+        start = low.find(entry)
+        while start >= 0:
+            end = start + len(entry)
+            if not bounded or (low[start - 1:start] not in _WORD_CHARS
+                               and low[end:end + 1] not in _WORD_CHARS):
+                found.append((start, -len(entry), owner))
+            start = low.find(entry, start + 1)
+    found.sort()
+    ends: dict[int, int] = {}
+    kept = []
+    for start, negative_size, owner in found:
+        if start >= ends.get(owner, 0):
+            ends[owner] = end = start - negative_size
+            kept.append((start, end, owner))
+    return kept
 
 
 #: Entries each of a Lexicon's memos holds before it is cleared: for the
@@ -180,7 +140,7 @@ class Lexicon:
     negation_cues: tuple[str, ...]
     uncertainty_cues: tuple[str, ...]
     phrases: tuple[tuple[Condition, tuple[str, ...]], ...]
-    _compiled: dict = field(default=None, compare=False, repr=False)
+    _compiled: tuple = field(default=None, compare=False, repr=False)
     _labels: BoundedMemo = _memo()  # normalized text -> LabelVector
     _vectors: BoundedMemo = _memo()  # value codes -> the shared LabelVector
     _mentions: BoundedMemo = _memo()  # indication -> mention set
@@ -204,17 +164,25 @@ class Lexicon:
             for phrase in entries:
                 _check_entry(phrase,
                              f"lexicon phrase for {condition.value!r}")
-        compiled = {
-            "phrases": _phrase_scans(tuple(phrase_map.items())),
-            "negation": _cue_scans(self.negation_cues),
-            "uncertainty": _cue_scans(self.uncertainty_cues),
-        }
-        object.__setattr__(self, "_compiled", compiled)
+        # Phrases are owned by their condition's index, cues by their
+        # position among the uncertainty cues, then the negation cues.
+        phrases = _token_index(
+            ((CONDITIONS.index(condition), phrase)
+             for condition, entries in phrase_map.items()
+             for phrase in entries), always_bounded=True)
+        cues = _token_index(
+            enumerate(self.uncertainty_cues + self.negation_cues),
+            always_bounded=False)
+        object.__setattr__(self, "_compiled",
+                           (phrases, cues, len(self.uncertainty_cues)))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Lexicon":
         try:
             conditions = obj["conditions"]
+            if not isinstance(conditions, dict):
+                raise InputError(f"lexicon conditions must be an object, "
+                                 f"got {conditions!r}")
             phrases = tuple(
                 (Condition.from_name(name), _list(conditions[name], name))
                 for name in conditions)
@@ -247,10 +215,6 @@ def default_lexicon() -> Lexicon:
     return Lexicon.from_dict(json.loads(text))
 
 
-def _cue_ends(low: str, scans) -> list[int]:
-    return sorted(m.end() for scan in scans for m in scan.finditer(low))
-
-
 def label_sentence(sentence: str,
                    lexicon: Optional[Lexicon] = None) -> LabelVector:
     """Label one sentence for all fourteen conditions, from the lexicon's
@@ -278,20 +242,24 @@ def _vector(codes: bytes) -> LabelVector:
 def _label_codes(low: str, lexicon: Lexicon) -> bytes:
     """The labels of normalized, lowercased text, one index into
     ``_VALUES`` per condition."""
-    compiled = lexicon._compiled
+    phrases, cues, uncertain = lexicon._compiled
+    words = [(m.start(), m.group()) for m in _TOKEN.finditer(low)]
     starts: dict[int, list[int]] = {}
-    for scan, owners in compiled["phrases"]:
-        for match in scan.finditer(low):
-            starts.setdefault(owners[match.lastindex - 1], []).append(
-                match.start())
+    for start, _, owner in _matches(low, words, phrases):
+        starts.setdefault(owner, []).append(start)
     codes = bytearray([_NM_CODE]) * len(CONDITIONS)
     if starts.pop(_NO_FINDING, None):
         codes[_NO_FINDING] = _POS_CODE
     if not starts:
         return bytes(codes)
 
-    uncertainty_ends = _cue_ends(low, compiled["uncertainty"])
-    negation_ends = _cue_ends(low, compiled["negation"])
+    uncertainty_ends: list[int] = []
+    negation_ends: list[int] = []
+    for _, end, owner in _matches(low, words, cues):
+        (uncertainty_ends if owner < uncertain else negation_ends).append(end)
+    uncertainty_ends.sort()
+    negation_ends.sort()
+    word_starts = [start for start, _ in words]
     window = lexicon.scope_window
 
     def in_scope(cue_ends, phrase_start: int) -> bool:
@@ -299,8 +267,8 @@ def _label_codes(low: str, lexicon: Lexicon) -> bytes:
         # tokens between it and the phrase. No token straddles either end:
         # a cue ends, and a phrase starts, next to a non-word character.
         i = bisect_right(cue_ends, phrase_start)
-        return i > 0 and len(
-            _WORD.findall(low, cue_ends[i - 1], phrase_start)) < window
+        return i > 0 and bisect_left(word_starts, phrase_start) - bisect_left(
+            word_starts, cue_ends[i - 1]) < window
 
     for index, found in starts.items():
         if any(in_scope(uncertainty_ends, start) for start in found):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -226,15 +227,28 @@ class TestLexicon:
         (lambda d: d["conditions"].update(Edema="edema"), "Edema"),
         (lambda d: d.update(scope_window=True), "scope_window"),
         (lambda d: d.update(scope_window=6.5), "scope_window"),
+        (lambda d: d.update(conditions=["Edema"]), "conditions"),
+        (lambda d: d.update(conditions="Edema"), "conditions"),
     ])
     def test_from_dict_rejects_entries_that_cannot_work(self, edit, field):
         # A capitalised cue never fires on the lowercased text, an empty
-        # entry matches everywhere, a string is not a list of entries, and
-        # True is not a window size.
+        # entry matches everywhere, a string is not a list of entries, a
+        # list or string is not an object of conditions, and True is not a
+        # window size.
         obj = shipped_lexicon_json()
         edit(obj)
         with pytest.raises(InputError, match=field):
             Lexicon.from_dict(obj)
+
+    def test_building_compiles_no_regex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("re.compile called")
+
+        monkeypatch.setattr(re, "compile", refuse)
+        lexicon = Lexicon.from_dict(shipped_lexicon_json())
+        monkeypatch.undo()
+        assert mentioned(label_sentence("No pneumonia, ?edema", lexicon)) \
+            == {Condition.PNEUMONIA: NEG, Condition.EDEMA: UNC}
 
     def test_cli_rejects_capitalised_cue(self, tmp_path, capsys):
         obj = shipped_lexicon_json()
@@ -381,6 +395,17 @@ def _lexicons():
         _variant(3, phrases={"Lung Opacity": ["pulmonary"],
                              "Atelectasis": ["edema atelectasis"],
                              "Pneumonia": ["process"]}),
+        # Phrases led by punctuation or made of it ("+" inside "(+)"), one
+        # of them also right after a word character ("x1- thickening") or
+        # after a cue inside a longer phrase of its condition ("no +"); a
+        # phrase whose first token starts a longer phrase of another
+        # condition; "no" as a cue of both polarities.
+        _variant(2, negation=["no", "not", "- free"],
+                 uncertainty=["?", "no", "may"],
+                 phrases={"Pleural Other": ["- thickening", "(+)", "+",
+                                            "no +"],
+                          "Fracture": ["x1", "x1- thickening"],
+                          "Lung Lesion": ["x1 edema"]}),
     ]
 
 
@@ -389,7 +414,8 @@ _ORACLES = [OracleLabeler(lexicon) for lexicon in LEXICONS]
 _PHRASES = ["edema", "pneumonia", "effusion", "opacity", "atelectasis",
             "consolidative opacity", "pulmonary edema", "pulmonary",
             "edema atelectasis", "process", "infectious process",
-            "no acute process", "pneumothorax", "chf"]
+            "no acute process", "pneumothorax", "chf", "- thickening",
+            "(+)", "+", "no +", "x1", "x1- thickening", "x1 edema"]
 _FILLERS = ["the", "left", "is", "and", "evidence", "out", "rule", "of",
             "x1", "2", "___", "-", "?", ","]
 _SEPARATORS = [None, None, None, " ", " ", "  ", "", "\t", "?", ", ",
@@ -430,8 +456,8 @@ def _as_strings(vector):
 
 
 class TestAgainstOracle:
-    """The merged cue and phrase scans label exactly as one regex per cue
-    and per condition did."""
+    """The token index labels exactly as one regex per cue and per
+    condition did."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), which=st.integers(0, len(LEXICONS) - 1))
