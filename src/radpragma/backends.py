@@ -22,8 +22,9 @@ from functools import partial
 from typing import Callable, Optional, Union
 
 from .cleaning import REMOVED, CleaningRule, build_rewrite_prompt
+from .corpus_io import http_url, request_target
 from .errors import BackendError, InputError
-from .model import BoundedMemo, normalize_text
+from .model import BoundedMemo
 
 _I = re.IGNORECASE
 
@@ -152,7 +153,7 @@ _RULES = {
 def _finish(original: str, result: str, ensure_period: bool) -> str:
     result = _TIDY_DOUBLE_COMMA.sub(",", result)
     result = _TIDY_SPACE_BEFORE_PUNCT.sub(r"\1", result)
-    result = _TIDY_DANGLING_COMMA.sub("", normalize_text(result))
+    result = _TIDY_DANGLING_COMMA.sub("", result)
     if not _HAS_ALNUM.search(result):
         return REMOVED
     if result != original and result[0].islower():
@@ -187,16 +188,9 @@ class PatternBackend:
 
 
 def _http_url(text: str, what: str):
-    """``text`` split by ``urlsplit``, if it is an ``http://`` or
-    ``https://`` URL with a host and a valid port; else InputError naming
-    ``what``."""
-    from urllib.parse import urlsplit
-    try:
-        url = urlsplit(text)
-        url.port  # noqa: B018 -- raises ValueError for a port out of range
-    except ValueError:
-        url = None
-    if url is None or url.scheme not in ("http", "https") or not url.hostname:
+    """``corpus_io.http_url(text)``, else an InputError naming ``what``."""
+    url = http_url(text)
+    if url is None:
         raise InputError(f"{what} {text!r} is not an http:// or https:// "
                          f"URL with a host")
     return url
@@ -220,7 +214,6 @@ class RemoteEndpoint:
                  auth_token: Optional[str] = None, timeout: float = 30.0,
                  retries: int = 0):
         from http.client import HTTPConnection, HTTPSConnection
-        from urllib.parse import quote
         from urllib.request import getproxies, proxy_bypass
         self.endpoint = endpoint
         self.what = what
@@ -243,8 +236,7 @@ class RemoteEndpoint:
             else:
                 target = endpoint  # the absolute form a proxy expects
             address = (proxy.hostname, proxy.port or 80)
-        # Percent-encode what may not go on a request line (non-ASCII).
-        self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+        self._target = request_target(target)
         if https:
             import ssl
             self._open = partial(HTTPSConnection, *address, timeout=timeout,

@@ -147,7 +147,7 @@ def apply_rule(sentence: str, rule: CleaningRule,
 def _rewrite(sentence: str, rule: CleaningRule,
              backend: RewriteBackend) -> str:
     """``apply_rule`` on a normalized sentence, neither empty nor REMOVED,
-    that triggers ``rule``."""
+    that triggers ``rule``. The one place a backend's answer is normalized."""
     try:
         rewritten = backend.rewrite(rule, sentence)
     except BackendError as exc:
@@ -327,15 +327,6 @@ def clean_sentence(sentence: str, backend: RewriteBackend,
 FOLD_MEMO_CAP = 8_192
 
 
-def _fold(text: str, backend: RewriteBackend, lexicon: Optional[Lexicon],
-          audit: bool) -> SentenceAudit | str:
-    """Segmented sentence ``text``'s audit, or without ``audit`` its final
-    text."""
-    if audit:
-        return clean_sentence_audited(text, backend, lexicon)
-    return _clean_normalized(text, backend, lexicon, [])
-
-
 def clean_report_audited(report: Report, backend: RewriteBackend,
                          lexicon: Optional[Lexicon] = None,
                          memo: Optional[BoundedMemo] = None,
@@ -355,11 +346,12 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
     """
     audits: list[SentenceAudit] = []
     kept: list[str] = []
+    clean = clean_sentence_audited if audit else clean_sentence
     for sentence in segment_sentences(report.impression):
         text = sentence.text
         try:
-            fold = (_fold(text, backend, lexicon, audit) if memo is None
-                    else memo.get(text, _fold, text, backend, lexicon, audit))
+            fold = (clean(text, backend, lexicon) if memo is None
+                    else memo.get(text, clean, text, backend, lexicon))
         except BackendError as exc:
             exc.sentence_index = sentence.index
             exc.study_id = report.study_id

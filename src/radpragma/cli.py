@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
-from urllib.parse import urlsplit
 
 from . import corpus_io, metrics
 from .errors import BackendError, DegenerateTableError, InputError
@@ -54,19 +53,8 @@ class Config:
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
-def _is_endpoint(value: Optional[str]) -> bool:
-    """Whether ``value`` is unset (empty) or an http(s) URL with a host."""
-    if not value:
-        return True
-    try:
-        url = urlsplit(value)
-        url.port  # noqa: B018 -- raises ValueError for a port out of range
-    except ValueError:
-        return False
-    return url.scheme in ("http", "https") and bool(url.hostname)
-
-
-_ENDPOINT_LIMIT = (_is_endpoint, "an http:// or https:// URL with a host")
+_ENDPOINT_LIMIT = (lambda v: not v or corpus_io.http_url(v) is not None,
+                   "an http:// or https:// URL with a host")
 
 #: The Config fields that take only some values of their type: a test of
 #: the value and what the test asks for.

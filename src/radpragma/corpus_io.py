@@ -8,6 +8,9 @@ Formats:
                 cells 1.0 / 0.0 / -1.0 / empty.
 
 All writes are atomic (temp file in the target directory, then rename).
+
+The checks every loader shares are here: ``load_json`` (shipped files
+too), ``expect`` for a JSON value's shape, ``http_url`` for a URL.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ import csv
 import io
 import json
 import os
+import reprlib
 from contextlib import contextmanager
+from importlib import resources
 from typing import Callable, Iterable, Mapping, TypeVar
+from urllib.parse import quote, urlsplit
 
 from .errors import InputError
 from .model import CONDITIONS, LabelValue, LabelVector, Report
@@ -53,20 +59,30 @@ def write_chunks_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _report_from_obj(obj: dict, where: str) -> Report:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: expected a JSON object")
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def expect(value, kind: type, what: str):
+    """``value`` if it is a JSON ``kind`` (dict, list or str), else an
+    InputError ``<what> must be an object|a list|a string, got <value>``,
+    the value shortened by ``reprlib.repr``."""
+    if isinstance(value, kind):
+        return value
+    raise InputError(f"{what} must be {_JSON_KINDS[kind]}, got "
+                     f"{reprlib.repr(value)}")
+
+
+def _report_from_obj(obj, where: str) -> Report:
+    expect(obj, dict, f"{where}: report")
     for field in ("study_id", "impression"):
         if field not in obj:
             raise InputError(f"{where}: missing field {field!r}")
-        if not isinstance(obj[field], str):
-            raise InputError(f"{where}: field {field!r} must be a string")
-    indication = obj.get("indication", "")
-    if not isinstance(indication, str):
-        raise InputError(f"{where}: field 'indication' must be a string")
+        expect(obj[field], str, f"{where}: field {field!r}")
+    indication = expect(obj.get("indication", ""), str,
+                        f"{where}: field 'indication'")
     findings = obj.get("findings")
-    if findings is not None and not isinstance(findings, str):
-        raise InputError(f"{where}: field 'findings' must be a string")
+    if findings is not None:
+        expect(findings, str, f"{where}: field 'findings'")
     return Report(study_id=obj["study_id"], impression=obj["impression"],
                   indication=indication, findings=findings)
 
@@ -110,12 +126,34 @@ def load_json(path: str, what: str, parse: Callable[[dict], _T]) -> _T:
     ``parse``'s included, names the file; ``what`` names the document."""
     with open_utf8(path) as handle:
         obj = _decode(handle.read(), path, f"{what} JSON")
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: {what} must be a JSON object")
     try:
-        return parse(obj)
+        return parse(expect(obj, dict, what))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def load_packaged(name: str, what: str, parse: Callable[[dict], _T]) -> _T:
+    """``load_json`` of the data file ``name`` shipped with the package."""
+    data = resources.files(__package__) / "data" / name
+    with resources.as_file(data) as path:
+        return load_json(str(path), what, parse)
+
+
+def http_url(text: str):
+    """``text`` split by ``urlsplit`` if it is an ``http://`` or
+    ``https://`` URL with a host and a valid port, else None."""
+    try:
+        url = urlsplit(text)
+        url.port  # noqa: B018 -- raises ValueError for a port out of range
+    except ValueError:
+        return None
+    return url if url.scheme in ("http", "https") and url.hostname else None
+
+
+def request_target(text: str) -> str:
+    """``text``, a URL or its path and query, with what may not go on an
+    HTTP request line (non-ASCII text, spaces) percent-encoded."""
+    return quote(text, safe="!#$%&'()*+,/:;=?@[]~")
 
 
 def kind(declared: str) -> type:

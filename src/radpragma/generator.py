@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .corpus_io import load_json, write_json
+from .corpus_io import expect, load_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
                       indication_mentions, label_normalized)
@@ -103,25 +103,19 @@ class RetrievalIndex:
             raise InputError(
                 f"unsupported index format version: {version!r}")
         try:
-            impressions = dict(obj["impressions"])
-            by_label_set = {
-                frozenset(Condition.from_name(n) for n in entry["conditions"]):
-                    _indexed_ids(entry["study_ids"], impressions)
-                for entry in obj["by_label_set"]}
-            pools = obj["negative_pool"]
-            if not isinstance(pools, dict):
-                raise InputError(f"negative_pool must be an object, "
-                                 f"got {pools!r}")
+            impressions = {
+                study_id: expect(text, str, f"impression of {study_id!r}")
+                for study_id, text in expect(obj["impressions"], dict,
+                                             "impressions").items()}
+            by_label_set = dict(
+                _label_set(entry, impressions)
+                for entry in expect(obj["by_label_set"], list,
+                                    "by_label_set"))
             negative_pool = {
-                Condition.from_name(name):
-                    tuple(PooledSentence(e["text"], e["study_id"])
-                          for e in entries)
-                for name, entries in pools.items()}
-            for text in [*impressions.values(), *(
-                    s.text for pool in negative_pool.values() for s in pool)]:
-                if not isinstance(text, str):
-                    raise InputError(f"impression and pool texts must be "
-                                     f"strings, got {text!r}")
+                Condition.from_name(name): tuple(map(_pooled, expect(
+                    entries, list, f"negative_pool {name!r}")))
+                for name, entries in expect(obj["negative_pool"], dict,
+                                            "negative_pool").items()}
             return cls(
                 lexicon_version=str(obj["lexicon_version"]),
                 corpus_digest=str(obj["corpus_digest"]),
@@ -146,14 +140,26 @@ class RetrievalIndex:
         return index
 
 
-def _indexed_ids(ids, impressions: dict) -> tuple[str, ...]:
-    """An index entry's study_ids: a non-empty list of indexed studies."""
-    if not isinstance(ids, list) or not ids:
-        raise InputError(f"study_ids must be a non-empty list, got {ids!r}")
+def _pooled(entry) -> PooledSentence:
+    """A negative-pool entry: an object with a string text and study_id."""
+    entry = expect(entry, dict, "pool entry")
+    return PooledSentence(expect(entry["text"], str, "pool text"),
+                          expect(entry["study_id"], str, "pool study_id"))
+
+
+def _label_set(entry, impressions: dict) -> tuple[frozenset, tuple]:
+    """A by_label_set entry's key and its non-empty, indexed study_ids."""
+    entry = expect(entry, dict, "by_label_set entry")
+    names = expect(entry["conditions"], list, "by_label_set conditions")
+    ids = expect(entry["study_ids"], list, "study_ids")
+    if not ids:
+        raise InputError("study_ids must be a non-empty list, got []")
     for study_id in ids:
-        if study_id not in impressions:
+        if expect(study_id, str, "study_ids entry") not in impressions:
             raise InputError(f"study_id {study_id!r} has no impression")
-    return tuple(ids)
+    return frozenset(
+        Condition.from_name(expect(name, str, "by_label_set condition"))
+        for name in names), tuple(ids)
 
 
 def build_index(cleaned_corpus: Sequence[Report],

@@ -34,13 +34,11 @@ normalized (segmentation output, a cleaning rule's output) as it is.
 from __future__ import annotations
 
 import functools
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Optional
 
-from .corpus_io import load_json
+from .corpus_io import expect, load_json, load_packaged
 from .errors import InputError
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, BoundedMemo, Condition,
                     LabelValue, LabelVector, _TOKEN, normalize_text,
@@ -126,9 +124,7 @@ def _check_entry(entry, what: str) -> None:
 
 def _list(value, name: str) -> tuple:
     # A string would otherwise become one entry per character.
-    if not isinstance(value, list):
-        raise InputError(f"lexicon {name} must be a list, got {value!r}")
-    return tuple(value)
+    return tuple(expect(value, list, f"lexicon {name}"))
 
 
 @dataclass(frozen=True)
@@ -179,10 +175,7 @@ class Lexicon:
     @classmethod
     def from_dict(cls, obj: dict) -> "Lexicon":
         try:
-            conditions = obj["conditions"]
-            if not isinstance(conditions, dict):
-                raise InputError(f"lexicon conditions must be an object, "
-                                 f"got {conditions!r}")
+            conditions = expect(obj["conditions"], dict, "lexicon conditions")
             phrases = tuple(
                 (Condition.from_name(name), _list(conditions[name], name))
                 for name in conditions)
@@ -210,9 +203,7 @@ class Lexicon:
 @functools.cache
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
-    text = (resources.files("radpragma") / "data" / "lexicon.json") \
-        .read_text(encoding="utf-8")
-    return Lexicon.from_dict(json.loads(text))
+    return load_packaged("lexicon.json", "lexicon", Lexicon.from_dict)
 
 
 def label_sentence(sentence: str,

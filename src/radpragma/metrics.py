@@ -14,14 +14,12 @@ prefix, shorter stems (like "ap"/"pa") require exact token equality.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import load_json, lookup
+from .corpus_io import expect, load_json, load_packaged, lookup
 from .errors import InputError
 from .labeler import Lexicon, label_report
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
@@ -246,17 +244,11 @@ class KeywordCatalog:
             version, categories = str(obj["version"]), obj["categories"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"invalid keyword catalog: {exc}") from None
-        if not isinstance(categories, dict):
-            raise InputError(f"keyword categories must be an object, "
-                             f"got {categories!r}")
-        for name, stems in categories.items():
-            # A string would otherwise become one stem per character.
-            if not isinstance(stems, list):
-                raise InputError(f"keyword category {name!r} must be a "
-                                 f"list, got {stems!r}")
-        return cls(version=version,
-                   categories=tuple((name, tuple(stems))
-                                    for name, stems in categories.items()))
+        # A string would otherwise become one stem per character.
+        return cls(version=version, categories=tuple(
+            (name, tuple(expect(stems, list, f"keyword category {name!r}")))
+            for name, stems in expect(categories, dict,
+                                      "keyword categories").items()))
 
     @classmethod
     def load(cls, path: str) -> "KeywordCatalog":
@@ -266,9 +258,8 @@ class KeywordCatalog:
 @functools.cache
 def default_catalog() -> KeywordCatalog:
     """The keyword catalog shipped with the package."""
-    text = (resources.files("radpragma") / "data" / "keywords.json") \
-        .read_text(encoding="utf-8")
-    return KeywordCatalog.from_dict(json.loads(text))
+    return load_packaged("keywords.json", "keyword catalog",
+                         KeywordCatalog.from_dict)
 
 
 def hallucination_rate(reports: Sequence[str],

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
-from .corpus_io import fits, lookup
+from .corpus_io import expect, fits, lookup
 from .errors import DegenerateTableError, InputError
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
                     LabelVector, Report)
@@ -107,16 +107,18 @@ class CorpusSummary:
     @classmethod
     def from_dict(cls, obj: dict) -> "CorpusSummary":
         try:
+            stats = expect(obj["per_condition"], dict, "per_condition")
             per_condition = tuple(
                 (condition, ConditionStats(**_numbers(
-                    obj["per_condition"][condition.value], _CONDITION_FIELDS,
-                    f"{condition.value}/")))
+                    expect(stats[condition.value], dict,
+                           f"per_condition {condition.value!r}"),
+                    _CONDITION_FIELDS, f"{condition.value}/")))
                 for condition in CONDITIONS)
             return cls(per_condition=per_condition,
                        **_numbers(obj, _SUMMARY_SCALARS, ""))
         except KeyError as exc:
             raise InputError(f"invalid corpus summary: missing {exc}") from None
-        except TypeError as exc:
+        except InputError as exc:
             raise InputError(f"invalid corpus summary: {exc}") from None
 
 
@@ -135,8 +137,7 @@ def _numbers(record: dict, names: Sequence[str], prefix: str) -> dict:
         value = out[name] = record[name]
         declared = _FIELD_TYPES[name]
         if not fits(declared, value):
-            raise InputError(f"invalid corpus summary: field "
-                             f"{prefix + name!r} expects {declared}, "
+            raise InputError(f"field {prefix + name!r} expects {declared}, "
                              f"got {value!r}")
     return out
 

@@ -499,7 +499,52 @@ def test_raw_and_normalized_text_give_equal_results(pair):
             == clean_report(Report("s", text), pattern, by_text).impression)
 
 
+#: Words the pattern productions, their keeps and the tidy-up steps match.
+_RULE_WORDS = st.sampled_from(
+    "in comparison with to the study of ___ , ; : . ? ! compared as when "
+    "now prior new newly New increased increasing worsening enlarging "
+    "decreased improved unchanged Unchanged worsened enlarged stable Stable "
+    "persistent resolved Resolved resolving resolution has have is are "
+    "appears remains probably likely essentially slightly partially "
+    "interval increase development progression size since from heart "
+    "lungs lung volumes mediastinum cardiac silhouette status post AP "
+    "frontal lateral portable chest views radiograph on this shows "
+    "effusion pneumonia edema Effusion disappeared cleared".split())
+
+
+@st.composite
+def _normalized_rule_text(draw):
+    """Normalized, non-empty text built from rule words and awkward
+    characters."""
+    # Rule words are drawn twice as often as awkward text.
+    text = normalize_text(" ".join(draw(st.lists(
+        st.one_of(_RULE_WORDS, _RULE_WORDS, _AWKWARD), min_size=1,
+        max_size=12))))
+    return text or "x"
+
+
 class TestPatternBackendProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_normalized_rule_text(), rule=st.sampled_from(DEFAULT_RULES))
+    def test_rewrite_of_normalized_text_is_normalized(self, text, rule):
+        # cleaning._rewrite is the one normalizer of a backend's answer; the
+        # pattern backend needs none of its own.
+        rewritten = PatternBackend().rewrite(rule, text)
+        assert normalize_text(rewritten) == rewritten
+
+    @pytest.mark.parametrize("rule_id", [5, 6])
+    @pytest.mark.parametrize("sentence", [
+        "Heart size has increased.", "The lungs are unchanged.",
+        "Lung volumes have decreased.", "Mediastinum is unchanged."])
+    def test_organ_level_change_is_kept(self, pattern, rule_id, sentence):
+        # Rules 5 and 6 rewrite changes in a finding, not in an organ.
+        assert pattern.rewrite(RULES[rule_id], sentence) == sentence
+        assert apply_rule(sentence, RULES[rule_id], pattern) == sentence
+
+    def test_new_finding_becomes_plain_positive(self, pattern):
+        assert apply_rule("New pneumonia.", RULES[5], pattern) == \
+            "Pneumonia."
+
     def test_idempotent_on_fixture(self, lexicon, pattern):
         for sentence in guard_fixture_sentences(count=150, seed=3):
             once = clean_sentence(sentence, pattern, lexicon=lexicon)

@@ -18,33 +18,78 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus.jsonl")
 
 
+# Each index defect returns the field its error must name.
 def _pools_as_a_list(index):
     index["negative_pool"] = list(index["negative_pool"].values())
+    return "negative_pool"
 
 
 def _retrieved_ids_without_impression(index):
     for entry in index["by_label_set"]:
         del index["impressions"][entry["study_ids"][0]]
+    return "has no impression"
 
 
 def _study_ids_as_a_string(index):
     for entry in index["by_label_set"]:
         entry["study_ids"] = entry["study_ids"][0]
+    return "study_ids"
 
 
 def _study_ids_empty(index):
     for entry in index["by_label_set"]:
         entry["study_ids"] = []
+    return "study_ids"
 
 
 def _impressions_not_strings(index):
     index["impressions"] = dict.fromkeys(index["impressions"], 1)
+    return "impression of"
 
 
 def _pool_texts_not_strings(index):
     for pool in index["negative_pool"].values():
         for sentence in pool:
             sentence["text"] = 1
+    return "pool text"
+
+
+def _conditions_empty_string(index):
+    # Iterated, "" would be the empty key.
+    for entry in index["by_label_set"]:
+        entry["conditions"] = ""
+    return "by_label_set conditions"
+
+
+def _conditions_a_string(index):
+    # Iterated, "Edema" would be the conditions "E", "d", ...
+    for entry in index["by_label_set"]:
+        entry["conditions"] = "Edema"
+    return "by_label_set conditions"
+
+
+def _condition_not_a_string(index):
+    for entry in index["by_label_set"]:
+        entry["conditions"] = [entry["conditions"]]
+    return "by_label_set condition must be a string"
+
+
+def _pool_study_id_not_a_string(index):
+    for pool in index["negative_pool"].values():
+        for sentence in pool:
+            sentence["study_id"] = 5
+    return "pool study_id"
+
+
+def _label_sets_as_an_object(index):
+    index["by_label_set"] = dict(enumerate(index["by_label_set"]))
+    return "by_label_set"
+
+
+def _pool_as_a_string(index):
+    pools = index["negative_pool"]
+    pools.update((name, "No edema.") for name in pools)
+    return "negative_pool"
 
 
 #: A command reading each JSON input from the file BAD.
@@ -319,18 +364,21 @@ class TestInputErrors:
     @pytest.mark.parametrize("defect", [
         _pools_as_a_list, _retrieved_ids_without_impression,
         _study_ids_as_a_string, _study_ids_empty, _impressions_not_strings,
-        _pool_texts_not_strings])
+        _pool_texts_not_strings, _conditions_empty_string,
+        _conditions_a_string, _condition_not_a_string,
+        _pool_study_id_not_a_string,
+        _label_sets_as_an_object, _pool_as_a_string])
     def test_malformed_index_exits_1(self, tmp_path, capsys, defect):
         index = tmp_path / "index.json"
         assert main(["index", "--in", CORPUS, "--out", str(index)]) == 0
         obj = json.loads(index.read_text())
-        defect(obj)
+        field = defect(obj)
         index.write_text(json.dumps(obj))
         capsys.readouterr()
         out = tmp_path / "generated.jsonl"
         assert main(["generate", "--requests", CORPUS, "--index", str(index),
                      "--out", str(out)]) == 1
-        _single_error(capsys, f"{index}: invalid retrieval index")
+        _single_error(capsys, f"{index}: invalid retrieval index", field)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(_JSON_INPUT_COMMANDS))
@@ -766,6 +814,21 @@ class TestShiftCommand:
         code = main(["shift", "--a", str(a), "--b", str(b)])
         assert code == 1
         _single_error(capsys, "b.json", repr(field))
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda s: s.update(per_condition=list(s["per_condition"])),
+         "per_condition must be an object"),
+        (lambda s: s["per_condition"].update(Edema="2"),
+         "per_condition 'Edema' must be an object")],
+        ids=["list", "entry-string"])
+    def test_summary_per_condition_not_an_object_exits_1(
+            self, tmp_path, capsys, edit, named):
+        a, b = self._write_summaries(tmp_path)
+        summary = json.loads(b.read_text())
+        edit(summary)
+        b.write_text(json.dumps(summary))
+        assert main(["shift", "--a", str(a), "--b", str(b)]) == 1
+        _single_error(capsys, f"{b}: invalid corpus summary: {named}")
 
     def test_summary_null_in_optional_field_is_accepted(self, tmp_path,
                                                         capsys):

@@ -1,9 +1,9 @@
 """Checks on how the package loads, on the names the benchmark's tracer
 wraps, that no module keeps an import or private name it never reads, that
 no public name is read only by tests, that the package imports only the
-standard library, that only ``backends`` imports ``http.client`` and only
-``model`` imports ``threading``, and that a stage reads every configuration
-field."""
+standard library, that only ``backends`` imports ``http.client``, only
+``model`` imports ``threading`` and only ``corpus_io`` checks outside input,
+and that a stage reads every configuration field."""
 
 import ast
 import dataclasses
@@ -222,12 +222,15 @@ def test_every_import_and_private_name_is_read(module):
 
 def _imported_modules(tree):
     """The dotted names of the modules that ``tree`` imports absolutely
-    anywhere, ``if TYPE_CHECKING:`` blocks and function bodies included."""
+    anywhere, ``if TYPE_CHECKING:`` blocks and function bodies included.
+    ``from a import b`` counts as importing ``a`` and ``a.b``, which may be
+    a submodule."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
 def _importers(name):
@@ -256,6 +259,29 @@ def test_only_backends_imports_http_client():
 def test_only_model_imports_threading():
     # model.BoundedMemo is the package's one memo, and holds its one lock.
     assert _importers("threading") == ["model.py"]
+
+
+def test_only_corpus_io_checks_outside_input():
+    # corpus_io owns the URL check (http_url), the reader of the shipped
+    # data files (load_packaged) and the JSON-shape check (expect).
+    assert _importers("urllib.parse") == ["corpus_io.py"]
+    assert _importers("importlib.resources") == ["corpus_io.py"]
+    shape_checks = {
+        module for module in os.listdir(PACKAGE) if module.endswith(".py")
+        for node in ast.walk(_parse(os.path.join(PACKAGE, module)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and {"dict", "list"} & {n.id for n in ast.walk(node.args[1])
+                                if isinstance(n, ast.Name)}}
+    assert shape_checks <= {"corpus_io.py"}
+
+
+def test_backends_leaves_normalizing_to_cleaning():
+    # cleaning._rewrite is the one normalizer of a backend's answer.
+    tree = _parse(os.path.join(PACKAGE, "backends.py"))
+    assert "normalize_text" not in {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(tree)}
 
 
 def _names_read(directory):
