@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .cleaning import REMOVED, CleaningRule, build_rewrite_prompt
 from .corpus_io import http_url, request_target
@@ -29,8 +28,7 @@ from .model import BoundedMemo
 _I = re.IGNORECASE
 
 
-@dataclass(frozen=True)
-class _Production:
+class _Production(NamedTuple):
     pattern: re.Pattern
     replacement: Union[str, Callable]
     ensure_period: bool = False

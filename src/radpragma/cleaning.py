@@ -14,33 +14,32 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .errors import BackendError, InputError
 from .labeler import Lexicon, label_normalized
-from .model import (BoundedMemo, LabelVector, Report, StemIndex,
+from .model import (BoundedMemo, Frozen, LabelVector, Report, StemIndex,
                     join_sentences, normalize_text, segment_sentences)
 
 #: Sentinel marking a sentence deleted by a cleaning rule.
 REMOVED = "REMOVED"
 
 
-@dataclass(frozen=True)
-class CleaningRule:
+class CleaningRule(Frozen):
     """One rewrite rule: id, trigger cues, and its backend prompt."""
 
-    rule_id: int
-    name: str
-    trigger_cues: tuple[str, ...]
-    prompt_template: str
+    _fields = ("rule_id", "name", "trigger_cues", "prompt_template")
 
-    def __post_init__(self):
-        if not 1 <= self.rule_id <= 7:
-            raise ValueError(f"rule id out of range: {self.rule_id}")
-        if REMOVED not in self.prompt_template:
+    def __init__(self, rule_id: int, name: str, trigger_cues: tuple[str, ...],
+                 prompt_template: str):
+        if not 1 <= rule_id <= 7:
+            raise ValueError(f"rule id out of range: {rule_id}")
+        if REMOVED not in prompt_template:
             raise ValueError(
-                f"rule {self.rule_id} prompt lacks the {REMOVED} contract")
+                f"rule {rule_id} prompt lacks the {REMOVED} contract")
+        vars(self).update(rule_id=rule_id, name=name,
+                          trigger_cues=trigger_cues,
+                          prompt_template=prompt_template)
 
     @functools.cached_property
     def _triggers(self) -> StemIndex:
@@ -161,8 +160,7 @@ _TRIGGERS = StemIndex((rule.rule_id, rule.trigger_cues)
                       for rule in DEFAULT_RULES)
 
 
-@dataclass(frozen=True)
-class RuleOutcome:
+class RuleOutcome(NamedTuple):
     """Audit record for one rule application within a sentence."""
 
     rule_id: int
@@ -191,8 +189,7 @@ _UNCHANGED_JSON = (
     _NO_CHANGE_TAIL[DEFAULT_RULES[-1].rule_id])
 
 
-@dataclass(frozen=True)
-class SentenceAudit:
+class SentenceAudit(Frozen):
     """Audit record of one sentence's fold. It depends only on the sentence
     text (for one backend and lexicon), so a fold memo shares one among the
     sentences with that text; a sentence's index is its position in its
@@ -200,9 +197,11 @@ class SentenceAudit:
     than no-change; ``outcomes`` derives the rest, so two audits are equal
     exactly when their original, final and outcomes are."""
 
-    original: str
-    final: str
-    changes: tuple[RuleOutcome, ...]
+    _fields = ("original", "final", "changes")
+
+    def __init__(self, original: str, final: str,
+                 changes: tuple[RuleOutcome, ...]):
+        vars(self).update(original=original, final=final, changes=changes)
 
     def _steps(self):
         """(rule id, its change or None, the text the rule saw) for each
@@ -277,6 +276,12 @@ def clean_sentence_audited(sentence: str,
                          tuple(RuleOutcome(*change) for change in changes))
 
 
+def _final(text: str, backend: RewriteBackend,
+           lexicon: Optional[Lexicon]) -> str:
+    """The final text of the fold of normalized ``text``."""
+    return _clean_normalized(text, backend, lexicon, [])
+
+
 def _clean_normalized(text: str, backend: RewriteBackend,
                       lexicon: Optional[Lexicon], changes: list) -> str:
     """The final text of the fold of normalized ``text``. Each outcome
@@ -319,7 +324,7 @@ def _clean_normalized(text: str, backend: RewriteBackend,
 
 def clean_sentence(sentence: str, backend: RewriteBackend,
                    lexicon: Optional[Lexicon] = None) -> str:
-    return _clean_normalized(normalize_text(sentence), backend, lexicon, [])
+    return _final(normalize_text(sentence), backend, lexicon)
 
 
 #: Distinct sentences a clean run's fold memo holds before it is cleared:
@@ -343,10 +348,14 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
     Without ``audit`` no audits are returned. With a ``memo`` each distinct
     sentence is folded once per memo, which serves one backend, lexicon and
     ``audit`` setting, and without ``audit`` stores only final texts.
+    Segmentation output is normalized, so without ``audit`` a sentence is
+    folded as it is. With ``audit`` the fold goes through the public
+    ``clean_sentence_audited``, the span the benchmark's tracer times, which
+    normalizes the sentence once more.
     """
     audits: list[SentenceAudit] = []
     kept: list[str] = []
-    clean = clean_sentence_audited if audit else clean_sentence
+    clean = clean_sentence_audited if audit else _final
     for sentence in segment_sentences(report.impression):
         text = sentence.text
         try:
@@ -361,7 +370,7 @@ def clean_report_audited(report: Report, backend: RewriteBackend,
             fold = fold.final
         if fold != REMOVED:
             kept.append(fold)
-    return replace(report, impression=join_sentences(kept)), audits
+    return report._replace(impression=join_sentences(kept)), audits
 
 
 def clean_report(report: Report, backend: RewriteBackend,

@@ -19,24 +19,32 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import corpus_io, metrics
+from . import corpus_io
 from .errors import BackendError, DegenerateTableError, InputError
 from .labeler import (Lexicon, default_lexicon, indication_mention_sets,
                       label_corpus)
-from .model import SCORABLE_CONDITIONS, BoundedMemo, Report
+from .model import F1_AVERAGES, SCORABLE_CONDITIONS, BoundedMemo, Report
 
 if TYPE_CHECKING:
-    from . import generator, stats
+    from . import generator, metrics, stats
 
 ENV_PREFIX = "RADPRAGMA_"
 
 
-@dataclass
+def __getattr__(name: str):
+    # ``cli.metrics`` resolves, although only the stages that score import
+    # the module.
+    if name == "metrics":
+        from . import metrics
+        return metrics
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class Config:
-    """Resolved runtime configuration, recorded alongside every output."""
+    """Resolved runtime configuration, recorded alongside every output.
+    A field not given to the constructor keeps its default."""
 
     lexicon: Optional[str] = None
     keywords: Optional[str] = None
@@ -49,8 +57,23 @@ class Config:
     f1_average: str = "macro"
     jobs: int = 1
 
+    def __init__(self, **values):
+        for name, value in values.items():
+            if name not in _FIELD_TYPES:
+                raise TypeError(f"Config has no field {name!r}")
+            setattr(self, name, value)
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _FIELD_TYPES}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+
+#: Each Config field's annotation, as text.
+_FIELD_TYPES = Config.__annotations__
 
 
 _ENDPOINT_LIMIT = (lambda v: not v or corpus_io.http_url(v) is not None,
@@ -64,8 +87,8 @@ _LIMITS = {
     # An HTTP header value; the token is not echoed in the error.
     "auth_token": (lambda v: not v or (v.isascii() and v.isprintable()),
                    "printable ASCII text"),
-    "f1_average": (lambda v: v in metrics.F1_AVERAGES,
-                   "one of " + ", ".join(metrics.F1_AVERAGES)),
+    "f1_average": (lambda v: v in F1_AVERAGES,
+                   "one of " + ", ".join(F1_AVERAGES)),
     "timeout": (lambda v: 0 < v < math.inf, "a finite number > 0"),
     "retries": (lambda v: v >= 0, "an integer >= 0"),
     "jobs": (lambda v: v >= 1, "an integer >= 1"),
@@ -141,6 +164,7 @@ def _load_lexicon(config: Config) -> Lexicon:
 
 
 def _load_catalog(config: Config) -> metrics.KeywordCatalog:
+    from . import metrics
     if config.keywords:
         return metrics.KeywordCatalog.load(config.keywords)
     return metrics.default_catalog()
@@ -151,7 +175,7 @@ def _write_run_config(primary_out: Optional[str], command: str,
     if primary_out:
         # Only whether a token is sent: the file is world-readable under the
         # usual umask, and every stage writes one.
-        recorded = asdict(config) | {"auth_token": bool(config.auth_token)}
+        recorded = config.as_dict() | {"auth_token": bool(config.auth_token)}
         run = {"command": command, "config": recorded, "inputs": inputs}
         corpus_io.write_json(primary_out + ".run.json", run | memos)
 
@@ -211,8 +235,7 @@ def _summary_csv(summary: stats.CorpusSummary) -> str:
     per_condition = scalars.pop("per_condition")
     rows = [["metric", "value"]]
     rows += [[name, _cell(value)] for name, value in scalars.items()]
-    rows += [[], ["condition"]
-             + [f.name for f in fields(ConditionStats)]]
+    rows += [[], ["condition", *ConditionStats._fields]]
     rows += [[name] + [_cell(value) for value in cstats.values()]
              for name, cstats in per_condition.items()]
     return corpus_io.csv_text(rows)
@@ -418,6 +441,7 @@ _METRICS_CSV_COLUMNS = ["pos_f1", "pos_f1_5", "bleu2", "clean_bleu2",
 
 
 def cmd_evaluate(args, config: Config) -> tuple:
+    from . import metrics
     lexicon = _load_lexicon(config)
     catalog = _load_catalog(config)
     generated = corpus_io.read_reports_jsonl(args.generated)
@@ -562,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precomputed label CSV for the original references")
     p.add_argument("--keywords", help="keyword catalog JSON path")
     p.add_argument("--average", dest="f1_average",
-                   choices=metrics.F1_AVERAGES)
+                   choices=F1_AVERAGES)
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--csv", help="optional one-row metrics CSV")
     p.set_defaults(handler=cmd_evaluate)

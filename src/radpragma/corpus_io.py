@@ -59,14 +59,16 @@ def write_chunks_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
 
 
 def expect(value, kind: type, what: str):
-    """``value`` if it is a JSON ``kind`` (dict, list or str), else an
-    InputError ``<what> must be an object|a list|a string, got <value>``,
-    the value shortened by ``reprlib.repr``."""
-    if isinstance(value, kind):
+    """``value`` if it is a JSON ``kind`` (dict, list, str or int, which
+    takes neither true, false nor a float), else an InputError ``<what>
+    must be an object|a list|a string|an integer, got <value>``, the value
+    shortened by ``reprlib.repr``."""
+    if isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise InputError(f"{what} must be {_JSON_KINDS[kind]}, got "
                      f"{reprlib.repr(value)}")
@@ -157,14 +159,15 @@ def request_target(text: str) -> str:
 
 
 def kind(declared: str) -> type:
-    """The scalar type of a dataclass field annotated ``declared``: int,
-    float or str."""
+    """The scalar type of a field annotated ``declared`` (a class
+    annotation, read as text): int, float or str."""
     return int if "int" in declared else float if "float" in declared else str
 
 
 def fits(declared: str, value) -> bool:
-    """Whether a JSON value fits a dataclass field annotated ``declared``: an
-    int takes integers, a float any number, a str strings, Optional null."""
+    """Whether a JSON value fits a field annotated ``declared``, as ``kind``
+    reads it: an int takes integers, a float any number, a str strings,
+    Optional null."""
     if value is None:
         return "Optional" in declared
     scalar = kind(declared)

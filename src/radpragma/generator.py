@@ -11,15 +11,15 @@ indication-mentioned condition that was not predicted positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .corpus_io import expect, load_json, write_json
 from .errors import InputError
 from .labeler import (Lexicon, aggregate_labels, default_lexicon,
                       indication_mentions, label_normalized)
-from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
-                    Report, join_sentences, normalize_text, segment_sentences)
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, Frozen,
+                    LabelValue, Report, join_sentences, normalize_text,
+                    segment_sentences)
 
 if TYPE_CHECKING:
     from .backends import RemoteEndpoint
@@ -27,25 +27,23 @@ if TYPE_CHECKING:
 INDEX_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(Frozen):
     """What to generate for one study: indication plus predicted positives."""
 
-    study_id: str
-    indication: str
-    predicted_positives: frozenset[Condition]
+    _fields = ("study_id", "indication", "predicted_positives")
 
-    def __post_init__(self):
-        positives = frozenset(self.predicted_positives)
-        object.__setattr__(self, "predicted_positives", positives)
+    def __init__(self, study_id: str, indication: str,
+                 predicted_positives: frozenset[Condition]):
+        positives = frozenset(predicted_positives)
         if Condition.NO_FINDING in positives and len(positives) > 1:
             raise ValueError(
                 "No Finding can only be predicted on its own, got "
                 f"{sorted(c.value for c in positives)}")
+        vars(self).update(study_id=study_id, indication=indication,
+                          predicted_positives=positives)
 
 
-@dataclass(frozen=True)
-class PooledSentence:
+class PooledSentence(NamedTuple):
     text: str
     study_id: str
 
@@ -65,16 +63,26 @@ def _corpus_digest(reports: Sequence[Report]) -> str:
     return "sha256:" + hasher.hexdigest()
 
 
-@dataclass
 class RetrievalIndex:
-    """Immutable-after-build retrieval structures for a cleaned corpus."""
+    """Immutable-after-build retrieval structures for a cleaned corpus.
+    Two indexes are equal when all their fields are."""
 
-    lexicon_version: str
-    corpus_digest: str
-    report_count: int
-    by_label_set: dict[frozenset, tuple[str, ...]]
-    impressions: dict[str, str]
-    negative_pool: dict[Condition, tuple[PooledSentence, ...]]
+    def __init__(self, lexicon_version: str, corpus_digest: str,
+                 report_count: int,
+                 by_label_set: dict[frozenset, tuple[str, ...]],
+                 impressions: dict[str, str],
+                 negative_pool: dict[Condition, tuple[PooledSentence, ...]]):
+        self.lexicon_version = lexicon_version
+        self.corpus_digest = corpus_digest
+        self.report_count = report_count
+        self.by_label_set = by_label_set
+        self.impressions = impressions
+        self.negative_pool = negative_pool
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {
@@ -117,9 +125,11 @@ class RetrievalIndex:
                 for name, entries in expect(obj["negative_pool"], dict,
                                             "negative_pool").items()}
             return cls(
-                lexicon_version=str(obj["lexicon_version"]),
-                corpus_digest=str(obj["corpus_digest"]),
-                report_count=int(obj["report_count"]),
+                lexicon_version=expect(obj["lexicon_version"], str,
+                                       "lexicon_version"),
+                corpus_digest=expect(obj["corpus_digest"], str,
+                                     "corpus_digest"),
+                report_count=expect(obj["report_count"], int, "report_count"),
                 by_label_set=by_label_set,
                 impressions=impressions,
                 negative_pool=negative_pool,
@@ -213,8 +223,7 @@ def build_index(cleaned_corpus: Sequence[Report],
     )
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(NamedTuple):
     """Generated text plus the audit trail of how it was assembled."""
 
     study_id: str
@@ -325,8 +334,7 @@ def build_generation_prompt(request: GenerationRequest) -> str:
         labels=render_positive_labels(request.predicted_positives))
 
 
-@dataclass(frozen=True)
-class RemoteGeneration:
+class RemoteGeneration(NamedTuple):
     study_id: str
     text: str
     prompt: str

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .corpus_io import expect, load_json, load_packaged
 from .errors import InputError
 from .model import (CONDITIONS, SCORABLE_CONDITIONS, BoundedMemo, Condition,
-                    LabelValue, LabelVector, _TOKEN, normalize_text,
+                    Frozen, LabelValue, LabelVector, _TOKEN, normalize_text,
                     segment_sentences)
 
 _NO_FINDING = CONDITIONS.index(Condition.NO_FINDING)
@@ -108,11 +107,6 @@ def _matches(low: str, words: list[tuple[int, str]], index,
 _MEMO_CAP = 32_768
 
 
-def _memo():
-    return field(default_factory=lambda: BoundedMemo(_MEMO_CAP), init=False,
-                 compare=False, repr=False)
-
-
 def _check_entry(entry, what: str) -> None:
     # The labeler matches entries against normalized, lowercased text, so
     # any other entry would never match, or (if empty) match everywhere.
@@ -127,31 +121,24 @@ def _list(value, name: str) -> tuple:
     return tuple(expect(value, list, f"lexicon {name}"))
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Frozen):
     """Versioned phrase and cue inventory driving the labeler."""
 
-    version: str
-    scope_window: int
-    negation_cues: tuple[str, ...]
-    uncertainty_cues: tuple[str, ...]
-    phrases: tuple[tuple[Condition, tuple[str, ...]], ...]
-    _compiled: tuple = field(default=None, compare=False, repr=False)
-    _labels: BoundedMemo = _memo()  # normalized text -> LabelVector
-    _vectors: BoundedMemo = _memo()  # value codes -> the shared LabelVector
-    _mentions: BoundedMemo = _memo()  # indication -> mention set
+    _fields = ("version", "scope_window", "negation_cues", "uncertainty_cues",
+               "phrases")
 
-    def __post_init__(self):
-        window = self.scope_window
-        if isinstance(window, bool) or not isinstance(window, int):
-            raise InputError(
-                f"lexicon scope_window must be an integer, got {window!r}")
-        if window < 1:
+    def __init__(self, version: str, scope_window: int,
+                 negation_cues: tuple[str, ...],
+                 uncertainty_cues: tuple[str, ...],
+                 phrases: tuple[tuple[Condition, tuple[str, ...]], ...]):
+        expect(scope_window, int, "lexicon scope_window")
+        if scope_window < 1:
             raise InputError("scope window must be >= 1")
-        for name in ("negation_cues", "uncertainty_cues"):
-            for cue in getattr(self, name):
+        for name, cues in (("negation_cues", negation_cues),
+                           ("uncertainty_cues", uncertainty_cues)):
+            for cue in cues:
                 _check_entry(cue, f"lexicon {name} entry")
-        phrase_map = dict(self.phrases)
+        phrase_map = dict(phrases)
         for condition in CONDITIONS:
             entries = phrase_map.get(condition, ())
             if not entries:
@@ -162,15 +149,20 @@ class Lexicon:
                              f"lexicon phrase for {condition.value!r}")
         # Phrases are owned by their condition's index, cues by their
         # position among the uncertainty cues, then the negation cues.
-        phrases = _token_index(
-            ((CONDITIONS.index(condition), phrase)
-             for condition, entries in phrase_map.items()
-             for phrase in entries), always_bounded=True)
-        cues = _token_index(
-            enumerate(self.uncertainty_cues + self.negation_cues),
-            always_bounded=False)
-        object.__setattr__(self, "_compiled",
-                           (phrases, cues, len(self.uncertainty_cues)))
+        compiled = (
+            _token_index(((CONDITIONS.index(condition), phrase)
+                          for condition, entries in phrase_map.items()
+                          for phrase in entries), always_bounded=True),
+            _token_index(enumerate(uncertainty_cues + negation_cues),
+                         always_bounded=False),
+            len(uncertainty_cues))
+        vars(self).update(
+            version=version, scope_window=scope_window,
+            negation_cues=negation_cues, uncertainty_cues=uncertainty_cues,
+            phrases=phrases, _compiled=compiled,
+            _labels=BoundedMemo(_MEMO_CAP),  # normalized text -> LabelVector
+            _vectors=BoundedMemo(_MEMO_CAP),  # codes -> the shared LabelVector
+            _mentions=BoundedMemo(_MEMO_CAP))  # indication -> mention set
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Lexicon":
@@ -180,7 +172,7 @@ class Lexicon:
                 (Condition.from_name(name), _list(conditions[name], name))
                 for name in conditions)
             return cls(
-                version=str(obj["version"]),
+                version=expect(obj["version"], str, "lexicon version"),
                 scope_window=obj["scope_window"],
                 negation_cues=_list(obj["negation_cues"], "negation_cues"),
                 uncertainty_cues=_list(obj["uncertainty_cues"],

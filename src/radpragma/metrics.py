@@ -16,18 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus_io import expect, load_json, load_packaged, lookup
 from .errors import InputError
 from .labeler import Lexicon, label_report
-from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
-                    LabelVector, Report, StemIndex, normalize_text,
-                    tokenize)
-
-#: The allowed ``average`` values of the F1 scores.
-F1_AVERAGES: tuple[str, ...] = ("macro", "micro")
+from .model import (CONDITIONS, F1_AVERAGES, SCORABLE_CONDITIONS, Condition,
+                    Frozen, LabelValue, LabelVector, Report, StemIndex,
+                    normalize_text, tokenize)
 
 #: Default conditions for Positive F1-5: most frequent positive conditions.
 POSITIVE_F1_5_DEFAULT: tuple[Condition, ...] = (
@@ -41,8 +37,7 @@ NEGATIVE_F1_5: tuple[Condition, ...] = (
     Condition.PLEURAL_EFFUSION, Condition.CONSOLIDATION)
 
 
-@dataclass(frozen=True)
-class ConditionF1:
+class ConditionF1(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -208,15 +203,14 @@ def exact_match_accuracy(hypotheses: Sequence[str],
     return hits / len(hypotheses)
 
 
-@dataclass(frozen=True)
-class KeywordCatalog:
+class KeywordCatalog(Frozen):
     """Versioned keyword stems marking uninferable report content."""
 
-    version: str
-    categories: tuple[tuple[str, tuple[str, ...]], ...]
+    _fields = ("version", "categories")
 
-    def __post_init__(self):
-        for name, stems in self.categories:
+    def __init__(self, version: str,
+                 categories: tuple[tuple[str, tuple[str, ...]], ...]):
+        for name, stems in categories:
             if not stems:
                 raise InputError(f"keyword category {name!r} is empty")
             for stem in stems:
@@ -225,6 +219,7 @@ class KeywordCatalog:
                     raise InputError(
                         f"keyword category {name!r}: stem {stem!r} is not "
                         f"lowercase letters and digits ([a-z0-9]+)")
+        vars(self).update(version=version, categories=categories)
 
     @property
     def category_names(self) -> tuple[str, ...]:
@@ -241,7 +236,8 @@ class KeywordCatalog:
     @classmethod
     def from_dict(cls, obj: dict) -> "KeywordCatalog":
         try:
-            version, categories = str(obj["version"]), obj["categories"]
+            version = expect(obj["version"], str, "keyword catalog version")
+            categories = obj["categories"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"invalid keyword catalog: {exc}") from None
         # A string would otherwise become one stem per character.
@@ -282,8 +278,7 @@ def hallucination_rate(reports: Sequence[str],
     return flagged_any / n, {name: flagged[name] / n for name in names}
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """All scores for one (generated, reference) corpus pair."""
 
     pos_f1: float

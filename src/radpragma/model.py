@@ -4,15 +4,19 @@ one memo class.
 Everything downstream (labeling, cleaning, metrics, retrieval) works on the
 types defined here. All but ``BoundedMemo`` and the token table of a
 ``StemIndex`` are immutable after creation.
+
+The package's plain records are ``typing.NamedTuple``s, and its other
+immutable classes derive from ``Frozen``: neither needs ``dataclasses``,
+whose import and per-class code generation every CLI stage would pay for
+at start-up.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 
 class Condition(Enum):
@@ -54,6 +58,9 @@ CONDITIONS: tuple[Condition, ...] = tuple(Condition)
 
 #: The thirteen findings F1 and the chi-square test score: all but No Finding.
 SCORABLE_CONDITIONS = tuple(c for c in CONDITIONS if not c.is_no_finding)
+
+#: The allowed ``average`` values of the F1 scores.
+F1_AVERAGES: tuple[str, ...] = ("macro", "micro")
 
 _CONDITION_BY_NAME = {c.value: c for c in CONDITIONS}
 _CONDITION_INDEX = {c: i for i, c in enumerate(CONDITIONS)}
@@ -97,25 +104,59 @@ MENTION_VALUES = frozenset({LabelValue.POSITIVE, LabelValue.NEGATIVE,
                             LabelValue.UNCERTAIN})
 
 
-@dataclass(frozen=True)
-class LabelVector:
+class Frozen:
+    """Base of the immutable classes that check or cache what they hold.
+
+    Two instances of one class are equal, and hash alike, when their
+    ``_fields`` are; other attributes (memos, cached properties) take no
+    part. Assigning to or deleting an attribute raises AttributeError, so
+    ``__init__`` stores the fields through ``vars(self)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LabelVector(Frozen):
     """Per-condition mention status for one text unit.
 
     Stored as a tuple in canonical condition order. No Finding only admits
     positive or not-mentioned.
     """
 
-    values: tuple[LabelValue, ...]
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if len(self.values) != len(CONDITIONS):
+    def __init__(self, values: tuple[LabelValue, ...]):
+        if len(values) != len(CONDITIONS):
             raise ValueError(
                 f"label vector needs {len(CONDITIONS)} entries, "
-                f"got {len(self.values)}")
-        nf = self.values[_CONDITION_INDEX[Condition.NO_FINDING]]
+                f"got {len(values)}")
+        nf = values[_CONDITION_INDEX[Condition.NO_FINDING]]
         if nf not in (LabelValue.POSITIVE, LabelValue.NOT_MENTIONED):
             raise ValueError(f"No Finding admits only positive or "
                              f"not-mentioned, got {nf.value}")
+        vars(self)["values"] = values
 
     @classmethod
     def all_not_mentioned(cls) -> "LabelVector":
@@ -140,8 +181,7 @@ _ALL_NOT_MENTIONED = LabelVector(
     tuple(LabelValue.NOT_MENTIONED for _ in CONDITIONS))
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One study's text. The impression is the unit of all scoring."""
 
     study_id: str
@@ -150,8 +190,7 @@ class Report:
     findings: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One segmented sentence with its 0-based position in the parent text."""
 
     text: str

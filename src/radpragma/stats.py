@@ -15,33 +15,32 @@ Undefined rates (zero denominator) surface as ``None``, never as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus_io import expect, fits, lookup
 from .errors import DegenerateTableError, InputError
-from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, LabelValue,
-                    LabelVector, Report)
+from .model import (CONDITIONS, SCORABLE_CONDITIONS, Condition, Frozen,
+                    LabelValue, LabelVector, Report)
 
 
-@dataclass(frozen=True)
-class ContingencyTable2x2:
+class ContingencyTable2x2(Frozen):
     """Counts for one condition X over reports with R_X in {negative, not-mentioned}.
 
     Rows: X in indication vs not. Columns: R_X negative vs not-mentioned.
+    ``a``: X in I(R), R_X negative; ``b``: X in I(R), R_X not-mentioned;
+    ``c``: X not in I(R), R_X negative; ``d``: X not in I(R), R_X
+    not-mentioned.
     """
 
-    a: int  # X in I(R), R_X negative
-    b: int  # X in I(R), R_X not-mentioned
-    c: int  # X not in I(R), R_X negative
-    d: int  # X not in I(R), R_X not-mentioned
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
+    def __init__(self, a: int, b: int, c: int, d: int):
+        cells = {"a": a, "b": b, "c": c, "d": d}
+        for name, value in cells.items():
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"cell {name} must be a non-negative "
                                  f"integer, got {value!r}")
+        vars(self).update(cells)
 
     @property
     def total(self) -> int:
@@ -72,15 +71,13 @@ def chi_square_test(table: ContingencyTable2x2) -> tuple[float, float]:
     return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
 
-@dataclass(frozen=True)
-class ConditionStats:
+class ConditionStats(NamedTuple):
     negative_mentions: int
     indication_mentions: int
     pct_reports_with_negative_given_indication: Optional[float]
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     report_count: int
     pct_no_finding: float
     avg_positive_mentions: float
@@ -100,7 +97,7 @@ class CorpusSummary:
 
     def to_dict(self) -> dict:
         out = {name: getattr(self, name) for name in _SUMMARY_SCALARS}
-        out["per_condition"] = {c.value: asdict(s)
+        out["per_condition"] = {c.value: s._asdict()
                                 for c, s in self.per_condition}
         return out
 
@@ -122,11 +119,12 @@ class CorpusSummary:
             raise InputError(f"invalid corpus summary: {exc}") from None
 
 
-_SUMMARY_SCALARS = tuple(f.name for f in fields(CorpusSummary)
-                         if f.name != "per_condition")
-_CONDITION_FIELDS = tuple(f.name for f in fields(ConditionStats))
-_FIELD_TYPES = {f.name: f.type
-                for cls in (CorpusSummary, ConditionStats) for f in fields(cls)}
+_SUMMARY_SCALARS = CorpusSummary._fields[:-1]  # all but per_condition
+_CONDITION_FIELDS = ConditionStats._fields
+#: Each field's annotation, as text.
+_FIELD_TYPES = {name: annotation.__forward_arg__
+                for cls in (CorpusSummary, ConditionStats)
+                for name, annotation in cls.__annotations__.items()}
 
 
 def _numbers(record: dict, names: Sequence[str], prefix: str) -> dict:
@@ -252,8 +250,7 @@ def conditional_negative_rates(corpus: Sequence[Report],
     return p_in, p_out, table
 
 
-@dataclass(frozen=True)
-class FieldDelta:
+class FieldDelta(NamedTuple):
     field: str
     a: Optional[float]
     b: Optional[float]
@@ -262,8 +259,7 @@ class FieldDelta:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class SummaryShift:
+class SummaryShift(NamedTuple):
     threshold: float
     fields: tuple[FieldDelta, ...]
 

@@ -345,6 +345,25 @@ class TestFoldMemo:
             else:
                 assert not os.path.exists(audit_path)
 
+    def test_segmented_sentences_are_not_normalized_again(
+            self, monkeypatch, lexicon, pattern):
+        # Segmentation output is normalized, so without an audit a sentence
+        # that triggers no rule costs the fold no normalization.
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return normalize_text(text)
+
+        monkeypatch.setattr(cleaning, "normalize_text", counting)
+        report = Report(study_id="s",
+                        impression="No  edema. Heart size is normal.")
+        cleaned, audits = clean_report_audited(
+            report, pattern, lexicon, BoundedMemo(8), audit=False)
+        assert (cleaned.impression, audits) == (
+            "No edema. Heart size is normal.", [])
+        assert calls == []
+
     def test_failing_fold_is_not_memoized(self, lexicon):
         class FlakyBackend:
             fail = True

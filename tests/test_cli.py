@@ -8,7 +8,7 @@ import pytest
 from pipeline import pipeline_steps, run_pipeline
 from synth import shipped_lexicon_json
 
-from radpragma import corpus_io
+from radpragma import cleaning, corpus_io
 from radpragma.cleaning import RuleOutcome, SentenceAudit
 from radpragma.cli import main
 from radpragma.corpus_io import read_labels_csv, read_reports_jsonl
@@ -381,6 +381,30 @@ class TestInputErrors:
         _single_error(capsys, f"{index}: invalid retrieval index", field)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("report_count", 2.5, "an integer"),
+        ("report_count", True, "an integer"),
+        ("report_count", "5", "an integer"),
+        ("report_count", "abc", "an integer"),
+        ("lexicon_version", 1, "a string"),
+        ("corpus_digest", ["sha256:0"], "a string")])
+    def test_index_scalar_of_the_wrong_type_exits_1(self, tmp_path, capsys,
+                                                    field, value, expected):
+        # They were read through int() and str(): 2.5 loaded as 2, True as
+        # 1, "5" as 5, and "abc" failed naming no field.
+        index = tmp_path / "index.json"
+        assert main(["index", "--in", CORPUS, "--out", str(index)]) == 0
+        obj = json.loads(index.read_text())
+        obj[field] = value
+        index.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "generated.jsonl"
+        assert main(["generate", "--requests", CORPUS, "--index", str(index),
+                     "--out", str(out)]) == 1
+        _single_error(capsys, f"{index}: invalid retrieval index",
+                      f"{field} must be {expected}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(_JSON_INPUT_COMMANDS))
     @pytest.mark.parametrize("content", ["[1, 2]", "truncated"])
     def test_bad_json_input_exits_1_naming_the_file(self, tmp_path, capsys,
@@ -671,10 +695,10 @@ class TestPipeline:
         # changes a fold collects.
         built = []
         for record in (RuleOutcome, SentenceAudit):
-            def counting(self, *args, _init=record.__init__):
-                built.append(type(self))
-                _init(self, *args)
-            monkeypatch.setattr(record, "__init__", counting)
+            def counting(*args, _record=record):
+                built.append(_record)
+                return _record(*args)
+            monkeypatch.setattr(cleaning, record.__name__, counting)
         out = str(tmp_path / "cleaned.jsonl")
         assert main(["clean", "--in", CORPUS, "--out", out]) == 0
         assert built == []

@@ -1,6 +1,5 @@
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -199,7 +198,7 @@ class TestGenerateRetrieval:
         corpus = os.path.join(os.path.dirname(__file__), "fixtures",
                               "corpus.jsonl")
         reports = read_reports_jsonl(corpus)
-        requests = reports + [replace(r, study_id=r.study_id + "-again")
+        requests = reports + [r._replace(study_id=r.study_id + "-again")
                               for r in reports]
         paths = {name: str(tmp_path / name) for name in (
             "requests.jsonl", "labels.csv", "index.json", "lexicon.json",

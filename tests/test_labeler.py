@@ -4,7 +4,6 @@ import random
 import re
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +239,15 @@ class TestLexicon:
         with pytest.raises(InputError, match=field):
             Lexicon.from_dict(obj)
 
+    @pytest.mark.parametrize("version", [[1], 1, None])
+    def test_from_dict_refuses_a_version_that_is_not_a_string(self,
+                                                              version):
+        # It was read through str(), so [1] became '[1]'.
+        obj = shipped_lexicon_json() | {"version": version}
+        with pytest.raises(InputError,
+                           match="lexicon version must be a string"):
+            Lexicon.from_dict(obj)
+
     def test_building_compiles_no_regex(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("re.compile called")
@@ -349,7 +357,7 @@ class TestSentenceMemo:
 
     def test_each_distinct_indication_is_segmented_once(self, monkeypatch):
         reports = read_reports_jsonl(CORPUS)
-        reports += [replace(r, study_id=r.study_id + "-again")
+        reports += [r._replace(study_id=r.study_id + "-again")
                     for r in reports]
         # A separate lexicon, whose memo would otherwise answer every call.
         fresh = Lexicon.from_dict(shipped_lexicon_json())

@@ -1,12 +1,12 @@
 """Checks on how the package loads, on the names the benchmark's tracer
 wraps, that no module keeps an import or private name it never reads, that
 no public name is read only by tests, that the package imports only the
-standard library, that only ``backends`` imports ``http.client``, only
-``model`` imports ``threading`` and only ``corpus_io`` checks outside input,
-and that a stage reads every configuration field."""
+standard library, that none imports ``dataclasses``, that only
+``backends`` imports ``http.client``, only ``model`` imports ``threading``
+and only ``corpus_io`` checks outside input, and that a stage reads every
+configuration field."""
 
 import ast
-import dataclasses
 import importlib
 import json
 import os
@@ -69,20 +69,22 @@ def test_offline_start_does_not_load_requests():
     assert _child(code) == "[]"
 
 
-# The modules each offline stage must not load, and those it must.
+# The modules each offline stage must load, and those it must not.
 HEAVY = ("radpragma.backends", "radpragma.cleaning", "radpragma.generator",
-         "radpragma.stats")
+         "radpragma.metrics", "radpragma.stats")
 STAGE_IMPORTS = {
     "label": ((), HEAVY),
-    "stats": (("radpragma.stats",), HEAVY[:3]),
-    "chi2": (("radpragma.stats",), HEAVY[:3]),
+    "stats": (("radpragma.stats",), HEAVY[:4]),
+    "chi2": (("radpragma.stats",), HEAVY[:4]),
     "clean": (("radpragma.cleaning", "radpragma.backends"),
-              ("radpragma.generator", "radpragma.stats")),
+              ("radpragma.generator", "radpragma.metrics", "radpragma.stats")),
     "index": (("radpragma.generator",),
-              ("radpragma.cleaning", "radpragma.backends")),
+              ("radpragma.cleaning", "radpragma.backends",
+               "radpragma.metrics")),
     "generate": (("radpragma.generator",),
-                 ("radpragma.cleaning", "radpragma.backends")),
-    "evaluate": ((), HEAVY),
+                 ("radpragma.cleaning", "radpragma.backends",
+                  "radpragma.metrics")),
+    "evaluate": (("radpragma.metrics",), HEAVY[:3] + HEAVY[4:]),
 }
 # As ``python -m radpragma.cli ARGS`` does, then print what was loaded.
 RUN_CLI = ("import json, runpy, sys\n"
@@ -114,6 +116,8 @@ def test_each_stage_loads_only_what_it_runs(stage_modules, stage):
     assert set(needed) <= loaded
     assert not loaded & set(unneeded)
     assert not loaded & {"concurrent.futures", "http.client", "requests"}
+    # dataclasses brings inspect (and with it ast, dis and tokenize).
+    assert not loaded & {"dataclasses", "inspect"}
     if stage == "generate":
         assert not loaded & {"hashlib", "logging"}
     if stage == "index":
@@ -256,6 +260,13 @@ def test_only_backends_imports_http_client():
     assert _importers("http.client") == ["backends.py"]
 
 
+def test_no_module_imports_dataclasses():
+    # Its import and the methods it generates for each class would cost
+    # every stage process at start-up; records are NamedTuples or
+    # model.Frozen classes.
+    assert _importers("dataclasses") == []
+
+
 def test_only_model_imports_threading():
     # model.BoundedMemo is the package's one memo, and holds its one lock.
     assert _importers("threading") == ["model.py"]
@@ -333,5 +344,5 @@ def test_every_config_field_is_read_by_a_stage():
             elif (isinstance(node, ast.Call)
                   and getattr(node.func, "id", None) == "_endpoint"):
                 read.add(ast.literal_eval(node.args[1]))
-    assert [field.name for field in dataclasses.fields(cli.Config)
-            if field.name not in read] == []
+    assert [name for name in cli.Config.__annotations__
+            if name not in read] == []

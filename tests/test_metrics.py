@@ -273,6 +273,15 @@ class TestHallucination:
         with pytest.raises(InputError, match="empty"):
             KeywordCatalog(version="x", categories=(("a", ()),))
 
+    @pytest.mark.parametrize("version", [[1], 1, None])
+    def test_from_dict_refuses_a_version_that_is_not_a_string(self,
+                                                              version):
+        # It was read through str(), so [1] became '[1]'.
+        obj = {"version": version, "categories": {"view": ["ap"]}}
+        with pytest.raises(InputError,
+                           match="keyword catalog version must be a string"):
+            KeywordCatalog.from_dict(obj)
+
     def test_default_catalog_matches_published_lists(self):
         catalog = dict(default_catalog().categories)
         assert catalog["prior_procedures"] == ("status",)

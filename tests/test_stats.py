@@ -232,8 +232,7 @@ class TestShiftReport:
         summary = summarize(reports, labels, mentions)
         if not overrides:
             return summary
-        values = summary.__dict__ | overrides
-        return CorpusSummary(**values)
+        return summary._replace(**overrides)
 
     def test_identical_summaries_have_no_flags(self):
         summary = self._summary_with()
